@@ -1,0 +1,307 @@
+"""MDP wrapper around the LS engine: observations, actions, reward.
+
+The agent steers the search per move: its accept bit settles the pending
+proposal from the previous LS step, then its operator choice produces the
+next proposal (or a perturbation instead, in the largest action space).
+Observations describe the working state, i.e. the schedule with the pending
+proposal applied, since that is what the accept decision is about. Rewards
+are improvements of the best committed cost, clamped at zero, so their
+episode sum telescopes to f(s_0) - f(s_best).
+"""
+from __future__ import annotations
+
+import enum
+import json
+from dataclasses import dataclass, field
+from typing import Optional, Union
+
+import numpy as np
+
+from .core import Instance, SearchGraph, Solution, build_graph
+from .dispatch import DispatchRule, dispatch
+from .neighborhood import (
+    OPERATOR_ORDER,
+    Operator,
+    Perturbation,
+    Proposal,
+    ls_step,
+    perturb,
+)
+
+N_SCALAR_FEATURES = 7
+N_NODE_FEATURES = 5
+
+
+class InvalidAction(ValueError):
+    """Action index outside the configured space."""
+
+
+class ActionSpace(enum.Enum):
+    """How much of the controller interface the agent owns.
+
+    A    accept bit only (operator fixed to CET)          -> 2 actions
+    AN   accept bit x operator                            -> 8 actions
+    ANP  accept bit x (operator | perturbation)           -> 10 actions
+    """
+
+    A = "a"
+    AN = "an"
+    ANP = "anp"
+
+    @classmethod
+    def parse(cls, text: str) -> "ActionSpace":
+        key = text.strip().lower()
+        for space in cls:
+            if space.value == key:
+                return space
+        raise ValueError(
+            f"unknown action space {text!r}; expected one of {[s.value for s in cls]}"
+        )
+
+    @property
+    def n_actions(self) -> int:
+        return {ActionSpace.A: 2, ActionSpace.AN: 8, ActionSpace.ANP: 10}[self]
+
+    def decode(self, action: int) -> tuple[bool, Optional[Operator], bool]:
+        """Split an index into (accept, operator, wants_perturbation).
+
+        The accept bit is the major axis: indices 0..k-1 reject, k..2k-1
+        accept. Within a half, A always means CET, AN walks the operator
+        order, ANP appends the perturbation as choice 4.
+        """
+        if not 0 <= action < self.n_actions:
+            raise InvalidAction(
+                f"action {action} out of range for space {self.name} "
+                f"({self.n_actions} actions)")
+        half = self.n_actions // 2
+        accept = action >= half
+        choice = action % half
+        if self is ActionSpace.A:
+            return accept, Operator.CET, False
+        if self is ActionSpace.AN:
+            return accept, OPERATOR_ORDER[choice], False
+        if choice == len(OPERATOR_ORDER):
+            return accept, None, True
+        return accept, OPERATOR_ORDER[choice], False
+
+
+@dataclass
+class Observation:
+    """Graph + scalar view of the working state."""
+
+    scalars: np.ndarray       # (7,)
+    node_feats: np.ndarray    # (N, 5)
+    e_stat: np.ndarray        # (2, n_stat) flat op ids, both arc directions
+    w_stat: np.ndarray        # (n_stat,)
+    e_dyna: np.ndarray        # (2, n_dyna)
+    w_dyna: np.ndarray        # (n_dyna,)
+    groups: np.ndarray        # (N,) machine of each op
+    n_groups: int
+
+
+@dataclass
+class EnvState:
+    instance: Instance
+    action_space: ActionSpace
+    solution: Solution
+    graph: SearchGraph
+    pending: Optional[Proposal]
+    snap_solution: Solution
+    snap_graph: SearchGraph
+    best_cost: int
+    best_solution: Solution
+    init_cost: int
+    t: int
+    t_max: int
+    stall: int
+    n_perturbations: int
+    last_accept: int
+    last_operator: Operator
+    perturbation_strength: int
+    rng: np.random.Generator
+    e_stat: np.ndarray = field(repr=False, default=None)
+    w_stat: np.ndarray = field(repr=False, default=None)
+
+    @property
+    def done(self) -> bool:
+        return self.t >= self.t_max
+
+
+def _static_edges(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """Job-precedence arcs, both directions, unit weight."""
+    J, M = instance.n_jobs, instance.n_machines
+    ids = np.arange(J * M).reshape(J, M)
+    src = ids[:, :-1].reshape(-1)
+    dst = ids[:, 1:].reshape(-1)
+    e = np.concatenate([np.stack([src, dst]), np.stack([dst, src])], axis=1)
+    return e, np.ones(e.shape[1], dtype=np.float64)
+
+
+def _dynamic_edges(graph: SearchGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Machine-sequence adjacency arcs, both directions, unit weight."""
+    order = graph.mach_order
+    src = order[:, :-1].reshape(-1)
+    dst = order[:, 1:].reshape(-1)
+    e = np.concatenate([np.stack([src, dst]), np.stack([dst, src])], axis=1)
+    return e, np.ones(e.shape[1], dtype=np.float64)
+
+
+def observe(state: EnvState) -> Observation:
+    """Build the policy view of the working (pending-applied) state."""
+    graph = state.pending.graph if state.pending is not None else state.graph
+    inst = state.instance
+    n = inst.n_ops
+    cmax = max(graph.makespan, 1)
+    p = inst.proc.reshape(-1).astype(np.float64)
+    p_max = max(inst.max_proc, 1)
+
+    x = np.empty((n, N_NODE_FEATURES), dtype=np.float64)
+    x[:, 0] = p / p_max
+    x[:, 1] = graph.head[:n] / cmax
+    x[:, 2] = graph.tail[:n] / cmax
+    x[:, 3] = graph.critical_mask.astype(np.float64)
+    x[:, 4] = graph.pos_on_machine / max(inst.n_jobs, 1)
+
+    e_dyna, w_dyna = _dynamic_edges(graph)
+    f0 = max(state.init_cost, 1)
+    scalars = np.array([
+        graph.makespan / f0,
+        state.best_cost / f0,
+        float(state.last_accept),
+        OPERATOR_ORDER.index(state.last_operator) / len(OPERATOR_ORDER),
+        state.t / state.t_max,
+        state.stall / state.t_max,
+        state.n_perturbations / state.t_max,
+    ], dtype=np.float64)
+
+    return Observation(
+        scalars=scalars,
+        node_feats=x,
+        e_stat=state.e_stat,
+        w_stat=state.w_stat,
+        e_dyna=e_dyna,
+        w_dyna=w_dyna,
+        groups=inst.machine.reshape(-1).copy(),
+        n_groups=inst.n_machines,
+    )
+
+
+def reset(instance: Instance, action_space: ActionSpace = ActionSpace.ANP,
+          seed: Optional[Union[int, np.random.Generator]] = None,
+          t_max: int = 100,
+          perturbation_strength: int = 3) -> tuple[EnvState, Observation]:
+    """Construct (FDD/MWKR), take one CT step to create the first proposal."""
+    if t_max < 1:
+        raise ValueError("t_max must be >= 1")
+    rng = np.random.default_rng(seed)
+    solution = dispatch(instance, DispatchRule.FDD_over_MWKR)
+    graph = build_graph(instance, solution)
+    init_cost = graph.makespan
+
+    snap_solution, snap_graph = solution.copy(), graph
+    out = ls_step(graph, solution, Operator.CT)
+    pending = out if isinstance(out, Proposal) else None
+
+    e_stat, w_stat = _static_edges(instance)
+    state = EnvState(
+        instance=instance,
+        action_space=action_space,
+        solution=solution,
+        graph=graph,
+        pending=pending,
+        snap_solution=snap_solution,
+        snap_graph=snap_graph,
+        best_cost=init_cost,
+        best_solution=snap_solution.copy(),
+        init_cost=init_cost,
+        t=0,
+        t_max=t_max,
+        stall=0,
+        n_perturbations=0,
+        last_accept=0,
+        last_operator=Operator.CT,
+        perturbation_strength=perturbation_strength,
+        rng=rng,
+        e_stat=e_stat,
+        w_stat=w_stat,
+    )
+    return state, observe(state)
+
+
+def step(state: EnvState, action: int
+         ) -> tuple[EnvState, float, bool, Observation]:
+    """Settle the pending proposal, then produce the next one.
+
+    The reward compares the best committed cost so far against the committed
+    cost after this step's accept/revert (and perturbation, if chosen); the
+    freshly created proposal stays pending and does not count until it is
+    accepted.
+    """
+    if state.done:
+        raise InvalidAction("episode is over; call reset")
+    accept, operator, wants_pert = state.action_space.decode(action)
+
+    if state.pending is not None:
+        if accept:
+            state.graph = state.pending.graph
+        else:
+            state.solution = state.snap_solution
+            state.graph = state.snap_graph
+    state.last_accept = int(accept)
+
+    if wants_pert:
+        state.graph = perturb(
+            state.solution, state.graph,
+            Perturbation(strength=state.perturbation_strength), state.rng)
+        state.n_perturbations += 1
+        state.pending = None
+        state.snap_solution, state.snap_graph = state.solution.copy(), state.graph
+    else:
+        state.snap_solution, state.snap_graph = state.solution.copy(), state.graph
+        out = ls_step(state.graph, state.solution, operator)
+        state.pending = out if isinstance(out, Proposal) else None
+        state.last_operator = operator
+
+    committed = state.graph.makespan
+    reward = float(max(state.best_cost - committed, 0))
+    if committed < state.best_cost:
+        state.best_cost = committed
+        state.best_solution = state.snap_solution.copy()
+        state.stall = 0
+    else:
+        state.stall += 1
+
+    state.t += 1
+    return state, reward, state.done, observe(state)
+
+
+def write_trace(path, rows) -> None:
+    """Dump replayable step records, one JSON object per line."""
+    with open(path, "w") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, separators=(",", ":")) + "\n")
+
+
+def read_trace(path) -> list[dict]:
+    with open(path) as fh:
+        return [json.loads(line) for line in fh if line.strip()]
+
+
+def rollout(instance: Instance, actions, action_space: ActionSpace,
+            seed: Optional[int] = None, t_max: int = 100) -> list[dict]:
+    """Replay a fixed action sequence; returns the trace records."""
+    state, _ = reset(instance, action_space, seed=seed, t_max=t_max)
+    rows = []
+    for action in actions:
+        if state.done:
+            break
+        state, reward, done, _ = step(state, int(action))
+        rows.append({
+            "step": state.t,
+            "action": int(action),
+            "accepted": bool(state.last_accept),
+            "cost": int(state.graph.makespan),
+            "best": int(state.best_cost),
+            "reward": reward,
+        })
+    return rows

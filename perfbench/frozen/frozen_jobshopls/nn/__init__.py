@@ -1,0 +1,28 @@
+"""Neural policy: autodiff engine and the graph Q-network."""
+from . import autodiff
+from .autodiff import Tensor
+from .qnetwork import (
+    GNNConfig,
+    QNetwork,
+    encode,
+    gnn_layer,
+    greedy_action,
+    load_checkpoint,
+    policy_probs,
+    q_values,
+    save_checkpoint,
+)
+
+__all__ = [
+    "autodiff",
+    "Tensor",
+    "GNNConfig",
+    "QNetwork",
+    "encode",
+    "gnn_layer",
+    "greedy_action",
+    "load_checkpoint",
+    "policy_probs",
+    "q_values",
+    "save_checkpoint",
+]

@@ -1,0 +1,389 @@
+"""Minimal reverse-mode autodiff on float64 numpy arrays.
+
+A Tensor wraps an ndarray plus a gradient slot and a closure that pushes
+gradients to its parents. Calling backward() on a scalar walks the tape in
+reverse topological order. Only the operations the Q-network needs are
+implemented; everything stays in double precision so gradient checks can be
+tight.
+"""
+from __future__ import annotations
+
+import contextlib
+from typing import Optional, Sequence, Union
+
+import numpy as np
+from scipy.special import erf
+
+# flipped on by tests that assert every intermediate stays finite
+CHECK_FINITE = False
+
+# while set, no tape is recorded (inference-only forwards)
+_NO_GRAD = False
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Disable tape recording inside the block; outputs carry no gradients."""
+    global _NO_GRAD
+    prev = _NO_GRAD
+    _NO_GRAD = True
+    try:
+        yield
+    finally:
+        _NO_GRAD = prev
+
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+ArrayLike = Union[np.ndarray, float, int, Sequence]
+
+
+class Tensor:
+    """Node of the computation tape."""
+
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_push")
+
+    def __init__(self, data: ArrayLike, requires_grad: bool = False,
+                 parents: tuple = (), push=None):
+        self.data = np.asarray(data, dtype=np.float64)
+        if CHECK_FINITE and not np.all(np.isfinite(self.data)):
+            raise FloatingPointError("non-finite values in tensor")
+        self.grad: Optional[np.ndarray] = None
+        if _NO_GRAD:
+            self.requires_grad = False
+        else:
+            self.requires_grad = requires_grad or any(
+                p.requires_grad for p in parents)
+        self._parents = parents if self.requires_grad else ()
+        self._push = push if self.requires_grad else None
+
+    @property
+    def shape(self) -> tuple:
+        return self.data.shape
+
+    @property
+    def ndim(self) -> int:
+        return self.data.ndim
+
+    def item(self) -> float:
+        return float(self.data)
+
+    def _accumulate(self, g: np.ndarray) -> None:
+        if self.grad is None:
+            self.grad = np.array(g, dtype=np.float64)
+            if self.grad.shape != self.data.shape:
+                self.grad = np.broadcast_to(self.grad, self.data.shape).copy()
+        else:
+            self.grad += g
+
+    def backward(self) -> None:
+        if self.data.size != 1:
+            raise ValueError("backward() requires a scalar loss")
+        if not self.requires_grad:
+            raise RuntimeError("no recorded forward pass reaches this tensor")
+        order: list[Tensor] = []
+        seen: set[int] = set()
+        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:
+                order.append(node)
+                continue
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            stack.append((node, True))
+            for parent in node._parents:
+                if parent.requires_grad and id(parent) not in seen:
+                    stack.append((parent, False))
+        self._accumulate(np.ones_like(self.data))
+        for node in reversed(order):
+            if node._push is not None and node.grad is not None:
+                node._push(node.grad)
+
+    # operator sugar; constants are wrapped on the fly
+    def __add__(self, other):
+        return add(self, _wrap(other))
+
+    def __radd__(self, other):
+        return add(_wrap(other), self)
+
+    def __sub__(self, other):
+        return sub(self, _wrap(other))
+
+    def __rsub__(self, other):
+        return sub(_wrap(other), self)
+
+    def __mul__(self, other):
+        return mul(self, _wrap(other))
+
+    def __rmul__(self, other):
+        return mul(_wrap(other), self)
+
+    def __truediv__(self, other):
+        return div(self, _wrap(other))
+
+    def __matmul__(self, other):
+        return matmul(self, other)
+
+    def __neg__(self):
+        return mul(self, _wrap(-1.0))
+
+    def __repr__(self) -> str:
+        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+def _wrap(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def constant(x: ArrayLike) -> Tensor:
+    return Tensor(x)
+
+
+def parameter(x: ArrayLike) -> Tensor:
+    return Tensor(x, requires_grad=True)
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum a broadcast gradient back down to the original shape."""
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, d in enumerate(shape) if d == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    def push(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.shape))
+    return Tensor(a.data + b.data, parents=(a, b), push=push)
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    def push(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(-g, b.shape))
+    return Tensor(a.data - b.data, parents=(a, b), push=push)
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    def push(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g * a.data, b.shape))
+    return Tensor(a.data * b.data, parents=(a, b), push=push)
+
+
+def div(a: Tensor, b: Tensor) -> Tensor:
+    def push(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g / b.data, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+    return Tensor(a.data / b.data, parents=(a, b), push=push)
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError("matmul expects 2-D tensors")
+    def push(g):
+        if a.requires_grad:
+            a._accumulate(g @ b.data.T)
+        if b.requires_grad:
+            b._accumulate(a.data.T @ g)
+    return Tensor(a.data @ b.data, parents=(a, b), push=push)
+
+
+def gelu(x: Tensor) -> Tensor:
+    """Exact Gaussian-error-function GeLU."""
+    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    def push(g):
+        if x.requires_grad:
+            pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
+            x._accumulate(g * (cdf + x.data * pdf))
+    return Tensor(x.data * cdf, parents=(x,), push=push)
+
+
+def sqrt(x: Tensor) -> Tensor:
+    out = np.sqrt(x.data)
+    def push(g):
+        if x.requires_grad:
+            x._accumulate(g * 0.5 / out)
+    return Tensor(out, parents=(x,), push=push)
+
+
+def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    def push(g):
+        if not x.requires_grad:
+            return
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        x._accumulate(np.broadcast_to(g, x.shape).copy())
+    return Tensor(x.data.sum(axis=axis, keepdims=keepdims), parents=(x,), push=push)
+
+
+def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    count = x.data.size if axis is None else x.shape[axis]
+    def push(g):
+        if not x.requires_grad:
+            return
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        x._accumulate(np.broadcast_to(g, x.shape) / count)
+    return Tensor(x.data.mean(axis=axis, keepdims=keepdims), parents=(x,), push=push)
+
+
+def amax(x: Tensor, axis: int = 0) -> Tensor:
+    """Max along one axis; gradient flows to the first maximizer only."""
+    idx = x.data.argmax(axis=axis)
+    out = np.take_along_axis(x.data, np.expand_dims(idx, axis), axis=axis)
+    def push(g):
+        if x.requires_grad:
+            gx = np.zeros_like(x.data)
+            np.put_along_axis(gx, np.expand_dims(idx, axis),
+                              np.expand_dims(g, axis), axis=axis)
+            x._accumulate(gx)
+    return Tensor(np.squeeze(out, axis=axis), parents=(x,), push=push)
+
+
+def rows(x: Tensor, idx: np.ndarray) -> Tensor:
+    """Gather rows of a 2-D tensor."""
+    idx = np.asarray(idx, dtype=np.int64)
+    def push(g):
+        if x.requires_grad:
+            gx = np.zeros_like(x.data)
+            np.add.at(gx, idx, g)
+            x._accumulate(gx)
+    return Tensor(x.data[idx], parents=(x,), push=push)
+
+
+def permute_rows(x: Tensor, perm: np.ndarray) -> Tensor:
+    """Gather rows by a permutation; cheaper backward than rows()."""
+    def push(g):
+        if x.requires_grad:
+            gx = np.empty_like(x.data)
+            gx[perm] = g
+            x._accumulate(gx)
+    return Tensor(x.data[perm], parents=(x,), push=push)
+
+
+def scatter_rows(values: Tensor, idx: np.ndarray, n: int) -> Tensor:
+    """Sum value rows into an (n, d) tensor at the given row indices."""
+    idx = np.asarray(idx, dtype=np.int64)
+    out = np.zeros((n, values.shape[1]), dtype=np.float64)
+    np.add.at(out, idx, values.data)
+    def push(g):
+        if values.requires_grad:
+            values._accumulate(g[idx])
+    return Tensor(out, parents=(values,), push=push)
+
+
+def weighted_neighbor_sum(h: Tensor, src: np.ndarray, dst: np.ndarray,
+                          weights: np.ndarray, n: int) -> Tensor:
+    """out[i] = sum over edges (j -> i) of weight * h[j]."""
+    scaled = h.data[src] * weights[:, None]
+    out = np.zeros((n, h.shape[1]), dtype=np.float64)
+    np.add.at(out, dst, scaled)
+    def push(g):
+        if h.requires_grad:
+            gh = np.zeros_like(h.data)
+            np.add.at(gh, src, g[dst] * weights[:, None])
+            h._accumulate(gh)
+    return Tensor(out, parents=(h,), push=push)
+
+
+def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
+    parts = list(parts)
+    sizes = [p.shape[axis] for p in parts]
+    splits = np.cumsum(sizes)[:-1]
+    def push(g):
+        for part, piece in zip(parts, np.split(g, splits, axis=axis)):
+            if part.requires_grad:
+                part._accumulate(piece)
+    return Tensor(np.concatenate([p.data for p in parts], axis=axis),
+                  parents=tuple(parts), push=push)
+
+
+def reshape(x: Tensor, shape: tuple) -> Tensor:
+    old = x.shape
+    def push(g):
+        if x.requires_grad:
+            x._accumulate(g.reshape(old))
+    return Tensor(x.data.reshape(shape), parents=(x,), push=push)
+
+
+def huber(x: Tensor, kappa: float = 1.0) -> Tensor:
+    """Elementwise Huber with threshold kappa."""
+    a = np.abs(x.data)
+    out = np.where(a <= kappa, 0.5 * x.data * x.data, kappa * (a - 0.5 * kappa))
+    def push(g):
+        if x.requires_grad:
+            x._accumulate(g * np.clip(x.data, -kappa, kappa))
+    return Tensor(out, parents=(x,), push=push)
+
+
+def layer_norm(x: Tensor, scale: Tensor, shift: Tensor,
+               eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis, then apply the learned affine map."""
+    d = x.shape[-1]
+    mu = x.data.mean(axis=-1, keepdims=True)
+    centered = x.data - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+
+    def push(g):
+        if scale.requires_grad:
+            scale._accumulate((g * xhat).sum(axis=tuple(range(g.ndim - 1))))
+        if shift.requires_grad:
+            shift._accumulate(g.sum(axis=tuple(range(g.ndim - 1))))
+        if x.requires_grad:
+            gx = g * scale.data
+            x._accumulate(inv * (gx - gx.mean(axis=-1, keepdims=True)
+                                 - xhat * (gx * xhat).mean(axis=-1, keepdims=True)))
+    return Tensor(xhat * scale.data + shift.data,
+                  parents=(x, scale, shift), push=push)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map x @ w + b for 2-D x."""
+    def push(g):
+        if x.requires_grad:
+            x._accumulate(g @ w.data.T)
+        if w.requires_grad:
+            w._accumulate(x.data.T @ g)
+        if b.requires_grad:
+            b._accumulate(g.sum(axis=0))
+    return Tensor(x.data @ w.data + b.data, parents=(x, w, b), push=push)
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """Two-layer perceptron with a GeLU between, fused into one tape node."""
+    z = x.data @ w1.data + b1.data
+    cdf = 0.5 * (1.0 + erf(z * _INV_SQRT2))
+    a = z * cdf
+    out = a @ w2.data + b2.data
+
+    def push(g):
+        if w2.requires_grad:
+            w2._accumulate(a.T @ g)
+        if b2.requires_grad:
+            b2._accumulate(g.sum(axis=0))
+        ga = g @ w2.data.T
+        gz = ga * (cdf + z * np.exp(-0.5 * z * z) * _INV_SQRT_2PI)
+        if w1.requires_grad:
+            w1._accumulate(x.data.T @ gz)
+        if b1.requires_grad:
+            b1._accumulate(gz.sum(axis=0))
+        if x.requires_grad:
+            x._accumulate(gz @ w1.data.T)
+    return Tensor(out, parents=(x, w1, b1, w2, b2), push=push)

@@ -1,0 +1,136 @@
+"""Reading and writing job-shop instances in the Taillard benchmark layout.
+
+A file holds, after optional ``#`` comments and blank lines, a ``J M`` header,
+then J rows of M processing times, then J rows of M machine indices (1-based
+in the file, converted to 0-based in memory).  Whitespace is free-form.  The
+80 classic ``ta`` instances ship with the package together with a table of
+best-known makespans.
+"""
+
+from __future__ import annotations
+
+import importlib.resources
+from pathlib import Path
+
+import numpy as np
+
+from .core import Instance
+
+
+class InstanceParseError(ValueError):
+    """Raised when an instance file cannot be parsed."""
+
+
+def _tokens_with_lines(text: str):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        for tok in line.split():
+            yield lineno, tok
+
+
+def parse_taillard(text: str, name: str = "") -> Instance:
+    """Parse instance text in the Taillard layout."""
+    stream = _tokens_with_lines(text)
+
+    def take_int(what: str) -> int:
+        try:
+            lineno, tok = next(stream)
+        except StopIteration:
+            raise InstanceParseError(f"unexpected end of file while reading {what}")
+        try:
+            return int(tok)
+        except ValueError:
+            raise InstanceParseError(f"line {lineno}: expected integer for {what}, got {tok!r}")
+
+    J = take_int("job count")
+    M = take_int("machine count")
+    if J <= 0 or M <= 0:
+        raise InstanceParseError(f"job and machine counts must be positive, got {J} x {M}")
+
+    proc = np.zeros((J, M), dtype=np.int64)
+    for j in range(J):
+        for k in range(M):
+            proc[j, k] = take_int(f"processing-time row {j + 1}, column {k + 1}")
+
+    machine = np.zeros((J, M), dtype=np.int64)
+    for j in range(J):
+        for k in range(M):
+            m = take_int(f"machine row {j + 1}, column {k + 1}")
+            if not (1 <= m <= M):
+                raise InstanceParseError(
+                    f"machine row {j + 1}: index {m} outside 1..{M}")
+            machine[j, k] = m - 1
+
+    extra = next(stream, None)
+    if extra is not None:
+        raise InstanceParseError(f"line {extra[0]}: trailing data {extra[1]!r}")
+    try:
+        return Instance(n_jobs=J, n_machines=M, proc=proc, machine=machine, name=name)
+    except ValueError as exc:
+        raise InstanceParseError(str(exc))
+
+
+def parse_taillard_file(path: str | Path) -> Instance:
+    path = Path(path)
+    return parse_taillard(path.read_text(), name=path.stem)
+
+
+def emit_taillard(instance: Instance) -> str:
+    """Write an instance back out in the same layout (machines 1-based)."""
+    lines = [f"{instance.n_jobs} {instance.n_machines}"]
+    for j in range(instance.n_jobs):
+        lines.append(" ".join(str(int(t)) for t in instance.proc[j]))
+    for j in range(instance.n_jobs):
+        lines.append(" ".join(str(int(m) + 1) for m in instance.machine[j]))
+    return "\n".join(lines) + "\n"
+
+
+def generate_instance(n_jobs: int, n_machines: int, seed: int, name: str = "") -> Instance:
+    """Random instance: times uniform on 1..99, routes uniform permutations."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    proc = rng.integers(1, 100, size=(n_jobs, n_machines), dtype=np.int64)
+    machine = np.stack([rng.permutation(n_machines) for _ in range(n_jobs)])
+    if not name:
+        name = f"gen{n_jobs}x{n_machines}s{seed}"
+    return Instance(n_jobs=n_jobs, n_machines=n_machines,
+                    proc=proc, machine=machine, name=name)
+
+
+def _data_root():
+    return importlib.resources.files(__package__) / "data"
+
+
+def builtin_names() -> list[str]:
+    """Names of the bundled benchmark instances, ta01 through ta80."""
+    return [f"ta{i:02d}" for i in range(1, 81)]
+
+
+def builtin_instance(name: str) -> Instance:
+    """Load a bundled instance by name (for example ``ta01``)."""
+    res = _data_root() / "taillard" / f"{name}.txt"
+    try:
+        text = res.read_text()
+    except FileNotFoundError:
+        raise KeyError(f"no bundled instance named {name!r}")
+    return parse_taillard(text, name=name)
+
+
+def best_known() -> dict[str, int]:
+    """Best-known makespans for the bundled instances."""
+    out: dict[str, int] = {}
+    for line in (_data_root() / "bks.csv").read_text().splitlines()[1:]:
+        if not line.strip():
+            continue
+        name, value = line.split(",")
+        out[name] = int(value)
+    return out
+
+
+def resolve_instance(spec: str) -> Instance:
+    """Accept a bundled name or a filesystem path."""
+    if Path(spec).is_file():
+        return parse_taillard_file(spec)
+    try:
+        return builtin_instance(spec)
+    except KeyError:
+        raise FileNotFoundError(f"{spec!r} is neither a file nor a bundled instance")
