@@ -12,8 +12,13 @@ state, obs = reset(inst, space, seed=0, t_max=25)
 print(f"6x6 instance, initial makespan {state.init_cost}")
 print(f"action space '{space.value}': {space.n_actions} actions "
       f"(accept/reject x 4 operators + perturb)\n")
+# neighbour tables: row i lists the previous and next op of node i along its
+# job route / machine sequence, with id n (the node count) for "none"
+n = obs.node_feats.shape[0]
 print(f"observation: scalars {obs.scalars.shape}, nodes {obs.node_feats.shape}, "
-      f"{obs.e_stat.shape[1]} route edges, {obs.e_dyna.shape[1]} machine edges")
+      f"neighbour tables {obs.nbr_stat.shape}: "
+      f"{(obs.nbr_stat < n).sum() // 2} route links, "
+      f"{(obs.nbr_dyna < n).sum() // 2} machine links")
 
 rng = np.random.default_rng(42)
 total = 0.0

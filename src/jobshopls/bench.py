@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Instance, build_graph, validate
+from .core import Instance, Solution, build_graph, validate
 from .dispatch import DispatchRule, dispatch
 from .env import ActionSpace, reset as env_reset, step as env_step
 from .metaheuristics import ControllerKind, load_controller_config, run
@@ -62,6 +62,7 @@ class ResultRow:
     bks: Optional[int]
     gap: Optional[float]
     seconds: float
+    solution: Optional[Solution] = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -197,14 +198,17 @@ def _run_one(args) -> ResultRow:
         solution, cost = state.best_solution, state.best_cost
     seconds = time.perf_counter() - t0
 
-    validate(instance, solution)
+    problems = validate(instance, solution)
+    if problems:
+        raise ValueError(f"{label}: invalid solution: {'; '.join(problems)}")
     if build_graph(instance, solution).makespan != cost:
         raise AssertionError(f"{label}: reported cost does not match solution")
     bks = best_known().get(instance.name or label)
     gap = None if bks is None else (cost - bks) / bks
     return ResultRow(instance=label,
                      group=f"{instance.n_jobs}x{instance.n_machines}",
-                     cost=int(cost), bks=bks, gap=gap, seconds=seconds)
+                     cost=int(cost), bks=bks, gap=gap, seconds=seconds,
+                     solution=solution)
 
 
 def run_benchmark(config: BenchmarkConfig) -> BenchmarkResult:

@@ -7,8 +7,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -75,41 +73,12 @@ def _cmd_solve(args) -> int:
     print(f"{row.instance}  {args.method}  cost {row.cost}{gap}  "
           f"({row.seconds:.2f}s)")
     if args.out:
-        from .bench import _load_instance
-        instance = _load_instance(row.instance, args.instance)
-        Path(args.out).write_text(_solution_text(args, instance))
+        lines = [f"# machine processing orders (job, op) for {row.instance}"]
+        for k, seq in enumerate(row.solution.machine_seq):
+            lines.append(f"machine {k}: " + " ".join(f"({o.job},{o.pos})"
+                                                     for o in seq))
+        Path(args.out).write_text("\n".join(lines) + "\n")
     return 0
-
-
-def _solution_text(args, instance) -> str:
-    # rerun to obtain the solution object; solve is cheap at CLI scale
-    from .bench import classify_method
-    from .dispatch import dispatch
-    from .metaheuristics import run as meta_run
-    kind, parsed = classify_method(args.method)
-    if kind == "pdr":
-        solution = dispatch(instance, parsed, seed=args.seed)
-    elif kind == "controller":
-        solution = meta_run(parsed, instance, iterations=args.iters,
-                            seed=args.seed).best_solution
-    else:
-        from .env import reset as env_reset, step as env_step
-        from .nn import load_checkpoint, q_values
-        from .nn import autodiff as ad
-        net = load_checkpoint(args.checkpoint)
-        state, obs = env_reset(instance, parsed, seed=args.seed,
-                               t_max=args.iters)
-        taus = (np.arange(8) + 0.5) / 8
-        while not state.done:
-            with ad.no_grad():
-                _, q = q_values(obs, net, taus)
-            state, _, _, obs = env_step(state, int(np.argmax(q.data)))
-        solution = state.best_solution
-    lines = [f"# machine processing orders (job, op) for {instance.name}"]
-    for k, seq in enumerate(solution.machine_seq):
-        lines.append(f"machine {k}: " + " ".join(f"({o.job},{o.pos})"
-                                                 for o in seq))
-    return "\n".join(lines) + "\n"
 
 
 def _cmd_bench(args) -> int:

@@ -166,7 +166,6 @@ class SearchGraph:
     job_succ: np.ndarray
     pos_on_machine: np.ndarray
     mach_order: np.ndarray    # (M, J) flat op ids in machine-sequence order
-    topo_order: np.ndarray
     _critical: np.ndarray = field(default=None, repr=False)
     _p_ext: np.ndarray = field(default=None, repr=False)
 
@@ -194,15 +193,6 @@ class SearchGraph:
             n = self.instance.n_ops
             self._critical = self.head[:n] + p + self.tail[:n] == self.makespan
         return self._critical
-
-    def is_critical(self, op: OpId) -> bool:
-        return bool(self.critical_mask[self.instance.op_index(op)])
-
-    def head_of(self, op: OpId) -> int:
-        return int(self.head[self.instance.op_index(op)])
-
-    def tail_of(self, op: OpId) -> int:
-        return int(self.tail[self.instance.op_index(op)])
 
 
 def _flat_sequences(instance: Instance, solution: Solution) -> np.ndarray:
@@ -284,7 +274,6 @@ def build_graph(instance: Instance, solution: Solution) -> SearchGraph:
         job_succ=job_succ,
         pos_on_machine=pos_on_machine,
         mach_order=seqs,
-        topo_order=order,
     )
 
 

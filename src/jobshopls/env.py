@@ -87,14 +87,17 @@ class ActionSpace(enum.Enum):
 
 @dataclass
 class Observation:
-    """Graph + scalar view of the working state."""
+    """Graph + scalar view of the working state.
+
+    The two edge sets are neighbour tables: row i holds the previous and the
+    next op of node i along its job route (nbr_stat) or its machine sequence
+    (nbr_dyna), and the id N stands for "no neighbour".
+    """
 
     scalars: np.ndarray       # (7,)
     node_feats: np.ndarray    # (N, 5)
-    e_stat: np.ndarray        # (2, n_stat) flat op ids, both arc directions
-    w_stat: np.ndarray        # (n_stat,)
-    e_dyna: np.ndarray        # (2, n_dyna)
-    w_dyna: np.ndarray        # (n_dyna,)
+    nbr_stat: np.ndarray      # (N, 2) job-route neighbours, N = none
+    nbr_dyna: np.ndarray      # (N, 2) machine-sequence neighbours, N = none
     groups: np.ndarray        # (N,) machine of each op
     n_groups: int
 
@@ -119,31 +122,19 @@ class EnvState:
     last_operator: Operator
     perturbation_strength: int
     rng: np.random.Generator
-    e_stat: np.ndarray = field(repr=False, default=None)
-    w_stat: np.ndarray = field(repr=False, default=None)
+    nbr_stat: np.ndarray = field(repr=False, default=None)
 
     @property
     def done(self) -> bool:
         return self.t >= self.t_max
 
 
-def _static_edges(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
-    """Job-precedence arcs, both directions, unit weight."""
-    J, M = instance.n_jobs, instance.n_machines
-    ids = np.arange(J * M).reshape(J, M)
-    src = ids[:, :-1].reshape(-1)
-    dst = ids[:, 1:].reshape(-1)
-    e = np.concatenate([np.stack([src, dst]), np.stack([dst, src])], axis=1)
-    return e, np.ones(e.shape[1], dtype=np.float64)
-
-
-def _dynamic_edges(graph: SearchGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Machine-sequence adjacency arcs, both directions, unit weight."""
-    order = graph.mach_order
-    src = order[:, :-1].reshape(-1)
-    dst = order[:, 1:].reshape(-1)
-    e = np.concatenate([np.stack([src, dst]), np.stack([dst, src])], axis=1)
-    return e, np.ones(e.shape[1], dtype=np.float64)
+def _chain_neighbors(chains: np.ndarray, n: int) -> np.ndarray:
+    """(n, 2) previous/next op of each node along its row of chains; n = none."""
+    nbr = np.full((n, 2), n, dtype=np.int64)
+    nbr[chains[:, 1:], 0] = chains[:, :-1]
+    nbr[chains[:, :-1], 1] = chains[:, 1:]
+    return nbr
 
 
 def observe(state: EnvState) -> Observation:
@@ -162,7 +153,6 @@ def observe(state: EnvState) -> Observation:
     x[:, 3] = graph.critical_mask.astype(np.float64)
     x[:, 4] = graph.pos_on_machine / max(inst.n_jobs, 1)
 
-    e_dyna, w_dyna = _dynamic_edges(graph)
     f0 = max(state.init_cost, 1)
     scalars = np.array([
         graph.makespan / f0,
@@ -177,10 +167,8 @@ def observe(state: EnvState) -> Observation:
     return Observation(
         scalars=scalars,
         node_feats=x,
-        e_stat=state.e_stat,
-        w_stat=state.w_stat,
-        e_dyna=e_dyna,
-        w_dyna=w_dyna,
+        nbr_stat=state.nbr_stat,
+        nbr_dyna=_chain_neighbors(graph.mach_order, n),
         groups=inst.machine.reshape(-1).copy(),
         n_groups=inst.n_machines,
     )
@@ -202,7 +190,7 @@ def reset(instance: Instance, action_space: ActionSpace = ActionSpace.ANP,
     out = ls_step(graph, solution, Operator.CT)
     pending = out if isinstance(out, Proposal) else None
 
-    e_stat, w_stat = _static_edges(instance)
+    job_ids = np.arange(instance.n_ops).reshape(instance.n_jobs, instance.n_machines)
     state = EnvState(
         instance=instance,
         action_space=action_space,
@@ -222,8 +210,7 @@ def reset(instance: Instance, action_space: ActionSpace = ActionSpace.ANP,
         last_operator=Operator.CT,
         perturbation_strength=perturbation_strength,
         rng=rng,
-        e_stat=e_stat,
-        w_stat=w_stat,
+        nbr_stat=_chain_neighbors(job_ids, instance.n_ops),
     )
     return state, observe(state)
 

@@ -203,9 +203,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.data @ b.data, parents=(a, b), push=push)
 
 
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """0.5 * (1 + erf(x / sqrt 2)), evaluated in a single buffer."""
+    cdf = x * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf
+
+
 def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian-error-function GeLU."""
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    cdf = _normal_cdf(x.data)
     def push(g):
         if x.requires_grad:
             pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
@@ -276,29 +285,19 @@ def permute_rows(x: Tensor, perm: np.ndarray) -> Tensor:
     return Tensor(x.data[perm], parents=(x,), push=push)
 
 
-def scatter_rows(values: Tensor, idx: np.ndarray, n: int) -> Tensor:
-    """Sum value rows into an (n, d) tensor at the given row indices."""
-    idx = np.asarray(idx, dtype=np.int64)
-    out = np.zeros((n, values.shape[1]), dtype=np.float64)
-    np.add.at(out, idx, values.data)
-    def push(g):
-        if values.requires_grad:
-            values._accumulate(g[idx])
-    return Tensor(out, parents=(values,), push=push)
+def neighbor_sum(h: Tensor, nbr: np.ndarray) -> Tensor:
+    """out[i] = h[nbr[i, 0]] + h[nbr[i, 1]], where id len(h) adds zero.
 
-
-def weighted_neighbor_sum(h: Tensor, src: np.ndarray, dst: np.ndarray,
-                          weights: np.ndarray, n: int) -> Tensor:
-    """out[i] = sum over edges (j -> i) of weight * h[j]."""
-    scaled = h.data[src] * weights[:, None]
-    out = np.zeros((n, h.shape[1]), dtype=np.float64)
-    np.add.at(out, dst, scaled)
+    The table must be symmetric (j lists i as often as i lists j), so the
+    backward pass is the same gather applied to the gradient.
+    """
+    def gather(x: np.ndarray) -> np.ndarray:
+        xp = np.concatenate([x, np.zeros((1, x.shape[1]))])
+        return xp[nbr[:, 0]] + xp[nbr[:, 1]]
     def push(g):
         if h.requires_grad:
-            gh = np.zeros_like(h.data)
-            np.add.at(gh, src, g[dst] * weights[:, None])
-            h._accumulate(gh)
-    return Tensor(out, parents=(h,), push=push)
+            h._accumulate(gather(g))
+    return Tensor(gather(h.data), parents=(h,), push=push)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -368,10 +367,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Two-layer perceptron with a GeLU between, fused into one tape node."""
-    z = x.data @ w1.data + b1.data
-    cdf = 0.5 * (1.0 + erf(z * _INV_SQRT2))
+    # in-place bias adds: same arithmetic, but no fresh (n, d) buffer to fault in
+    z = x.data @ w1.data
+    z += b1.data
+    cdf = _normal_cdf(z)
     a = z * cdf
-    out = a @ w2.data + b2.data
+    out = a @ w2.data
+    out += b2.data
 
     def push(g):
         if w2.requires_grad:

@@ -127,39 +127,28 @@ class QNetwork:
             self.params[name].data = p.data.copy()
 
 
-def _dense_adjacency(edges: np.ndarray, weights: np.ndarray,
-                     n: int) -> np.ndarray:
-    """Weighted adjacency A with A[i, j] = e_{j,i}; aggregation is A @ h."""
-    if edges.size and int(edges.max()) >= n:
-        raise ValueError("edge endpoint out of range")
-    a = np.zeros((n, n), dtype=np.float64)
-    # edge lists hold each (src, dst) pair at most once, so assignment works
-    a[edges[1], edges[0]] = weights
-    return a
+def gnn_layer(h: Tensor, nbr: np.ndarray, net: QNetwork, index: int) -> Tensor:
+    """One message-passing layer with residual and post-layer normalization.
 
-
-def _message_layer(h: Tensor, adj: Tensor, net: QNetwork, index: int) -> Tensor:
+    Messages are summed over the (n, 2) neighbour table ``nbr``, in which the
+    id n means "no neighbour": O(n d) per layer, no n x n matrix.
+    """
+    n = h.shape[0]
+    if nbr.shape != (n, 2) or (n and (nbr.min() < 0 or nbr.max() > n)):
+        raise ValueError(f"neighbour table must be ({n}, 2) with ids in "
+                         f"[0, {n}], got shape {nbr.shape}")
     pre = ad.gelu(ad.add(net._run_mlp(f"gnn{index}.m1", h),
-                         net._run_mlp(f"gnn{index}.m2", ad.matmul(adj, h))))
+                         net._run_mlp(f"gnn{index}.m2", ad.neighbor_sum(h, nbr))))
     scale, shift = net._p(f"gnn{index}.ln.scale", f"gnn{index}.ln.shift")
     return ad.layer_norm(ad.add(h, pre), scale, shift)
 
 
-def gnn_layer(h: Tensor, edges: np.ndarray, weights: np.ndarray,
-              net: QNetwork, index: int) -> Tensor:
-    """One message-passing layer with residual and post-layer normalization."""
-    adj = ad.constant(_dense_adjacency(edges, weights, h.shape[0]))
-    return _message_layer(h, adj, net, index)
-
-
 def encode(obs: Observation, net: QNetwork) -> tuple[Tensor, Tensor, Tensor]:
     """Embed an observation: per-node, per-group and scalar-feature vectors."""
-    n = obs.node_feats.shape[0]
-    adj = {"stat": ad.constant(_dense_adjacency(obs.e_stat, obs.w_stat, n)),
-           "dyna": ad.constant(_dense_adjacency(obs.e_dyna, obs.w_dyna, n))}
+    nbr = {"stat": obs.nbr_stat, "dyna": obs.nbr_dyna}
     h = net._run_mlp("emb", ad.constant(obs.node_feats))
     for i, kind in enumerate(net.config.layer_schedule):
-        h = _message_layer(h, adj[kind], net, i)
+        h = gnn_layer(h, nbr[kind], net, i)
     omega_node = net._run_mlp("post", h)
 
     counts = np.bincount(obs.groups, minlength=obs.n_groups)

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 from itertools import permutations, product
 
+import numpy as np
+
 from jobshopls.core import Instance, OpId, Solution
 
 
@@ -83,3 +85,17 @@ def apply_move_to_sequences(solution: Solution, move) -> Solution:
 def exact_move_cost(instance: Instance, solution: Solution, move):
     """Post-move makespan by full reconstruction, or None if infeasible."""
     return simulate_makespan(instance, apply_move_to_sequences(solution, move))
+
+
+def dense_chain_adjacency(chains, n: int):
+    """n x n 0/1 matrix linking consecutive entries of each chain, both ways.
+
+    The reference for the Q-network's message sum over one edge set: node i
+    receives row i of ``A @ h``. Built one link at a time from plain lists.
+    """
+    a = np.zeros((n, n))
+    for chain in chains:
+        chain = [int(v) for v in chain]
+        for u, v in zip(chain[:-1], chain[1:]):
+            a[u, v] = a[v, u] = 1.0
+    return a

@@ -152,6 +152,14 @@ def test_permute_rows_gradient():
           (4, 2), seed=9)
 
 
+def test_neighbor_sum_gradient():
+    # chain 0-1-2-3 plus an isolated node 4; id 5 means "no neighbour"
+    nbr = np.array([[5, 1], [0, 2], [1, 3], [2, 5], [5, 5]])
+    check(lambda t: ad.tsum(ad.mul(ad.neighbor_sum(t, nbr),
+                                   ad.constant(np.arange(10.0).reshape(5, 2)))),
+          (5, 2), seed=10)
+
+
 def test_no_grad_suppresses_graph():
     x = ad.parameter(np.ones(3))
     with ad.no_grad():

@@ -143,3 +143,16 @@ def test_wrong_checkpoint_action_count_is_rejected(tmp_path):
         run_benchmark(BenchmarkConfig(
             method="nls_anp", instances=("gen:3x3x1x1",), iterations=3,
             checkpoint=str(ck)))
+
+
+def test_validation_problems_fail_the_instance(monkeypatch):
+    import jobshopls.bench as bench
+
+    calls = []
+    def fake_validate(instance, solution):
+        calls.append(instance.name)
+        return ["machine 0: op (0, 0) appears more than once"]
+    monkeypatch.setattr(bench, "validate", fake_validate)
+    with pytest.raises(ValueError, match="ta03.*appears more than once"):
+        run_benchmark(BenchmarkConfig(method="spt", instances=("ta03",)))
+    assert calls == ["ta03"]

@@ -1,8 +1,11 @@
 """Command-line interface wiring."""
+import re
+
 import numpy as np
 import pytest
 
-from jobshopls import parse_taillard
+from jobshopls import (OpId, Solution, build_graph, builtin_instance,
+                       parse_taillard, validate)
 from jobshopls.cli import main
 
 
@@ -18,6 +21,30 @@ def test_solve_writes_machine_orders(tmp_path, capsys):
     text = out.read_text()
     assert sum(1 for l in text.splitlines() if l.startswith("machine ")) == 15
     capsys.readouterr()
+
+
+def test_solve_out_writes_the_solution_it_reports(tmp_path, capsys, monkeypatch):
+    import jobshopls.bench as bench
+    import jobshopls.metaheuristics as metaheuristics
+
+    calls = []
+    real_run = metaheuristics.run
+    def counting_run(*args, **kwargs):
+        calls.append(args)
+        return real_run(*args, **kwargs)
+    monkeypatch.setattr(metaheuristics, "run", counting_run)
+    monkeypatch.setattr(bench, "run", counting_run)
+
+    out = tmp_path / "sol.txt"
+    assert main(["solve", "ta02", "--method", "ils", "--iters", "20",
+                 "--seed", "4", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    cost = int(re.search(r"cost (\d+)", capsys.readouterr().out).group(1))
+    seqs = [[OpId(int(j), int(p)) for j, p in re.findall(r"\((\d+),(\d+)\)", line)]
+            for line in out.read_text().splitlines() if line.startswith("machine ")]
+    inst = builtin_instance("ta02")
+    assert validate(inst, Solution(seqs)) == []
+    assert build_graph(inst, Solution(seqs)).makespan == cost
 
 
 def test_gen_round_trips_through_the_parser(tmp_path, capsys):

@@ -56,14 +56,19 @@ def test_observation_shapes_and_ranges():
     n = inst.n_ops
     assert obs.scalars.shape == (7,)
     assert obs.node_feats.shape == (n, 5)
-    assert obs.e_stat.shape == (2, 2 * inst.n_jobs * (inst.n_machines - 1))
-    assert obs.e_dyna.shape == (2, 2 * inst.n_machines * (inst.n_jobs - 1))
+    assert obs.nbr_stat.shape == (n, 2) and obs.nbr_dyna.shape == (n, 2)
+    # every chain link is listed once from each of its two ends
+    assert np.count_nonzero(obs.nbr_stat < n) == 2 * inst.n_jobs * (inst.n_machines - 1)
+    assert np.count_nonzero(obs.nbr_dyna < n) == 2 * inst.n_machines * (inst.n_jobs - 1)
     assert obs.groups.shape == (n,)
     assert obs.n_groups == inst.n_machines
     assert np.all(obs.node_feats[:, 3] >= 0) and np.all(obs.node_feats[:, 3] <= 1)
-    assert np.all(obs.w_stat == 1.0) and np.all(obs.w_dyna == 1.0)
-    # edges reference real nodes
-    assert obs.e_stat.min() >= 0 and obs.e_stat.max() < n
+    for nbr in (obs.nbr_stat, obs.nbr_dyna):
+        # ids reference real nodes or the "no neighbour" id n
+        assert nbr.min() >= 0 and nbr.max() <= n
+        # symmetric: i lists j exactly when j lists i
+        for i, j in zip(*np.nonzero(nbr < n)):
+            assert i in nbr[nbr[i, j]]
 
 
 def test_rewards_are_clamped_improvements():

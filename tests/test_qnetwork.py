@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from jobshopls import generate_instance
-from jobshopls.env import ActionSpace, Observation, reset
+from jobshopls import builtin_instance, generate_instance
+from jobshopls.env import ActionSpace, Observation, reset, step
 from jobshopls.nn import (GNNConfig, QNetwork, autodiff as ad, encode, gnn_layer,
                           greedy_action, load_checkpoint, policy_probs, q_values,
                           save_checkpoint)
@@ -15,6 +15,27 @@ def small_obs(seed=0, j=3, m=3):
     inst = generate_instance(j, m, seed=seed)
     _, obs = reset(inst, ActionSpace.ANP, seed=0, t_max=5)
     return obs
+
+
+def permuted(obs, perm):
+    """The same observation with node i of the result holding old node perm[i]."""
+    n = obs.node_feats.shape[0]
+    new_id = np.empty(n + 1, dtype=np.int64)  # old id -> new id; n stays n
+    new_id[perm] = np.arange(n)
+    new_id[n] = n
+    return Observation(
+        scalars=obs.scalars, node_feats=obs.node_feats[perm],
+        nbr_stat=new_id[obs.nbr_stat[perm]], nbr_dyna=new_id[obs.nbr_dyna[perm]],
+        groups=obs.groups[perm], n_groups=obs.n_groups)
+
+
+def table_obs(rng, nbr_stat, groups, n_groups):
+    """Hand-built observation with no machine-sequence links."""
+    n = len(groups)
+    return Observation(
+        scalars=rng.random(7), node_feats=rng.random((n, 5)),
+        nbr_stat=np.asarray(nbr_stat), nbr_dyna=np.full((n, 2), n),
+        groups=np.asarray(groups), n_groups=n_groups)
 
 
 def test_config_validation():
@@ -69,15 +90,7 @@ def test_node_permutation_equivariance():
     _, q = q_values(obs, net, taus)
 
     n = obs.node_feats.shape[0]
-    perm = np.random.default_rng(4).permutation(n)  # new_i holds old perm[i]
-    inv = np.empty(n, dtype=int)
-    inv[perm] = np.arange(n)
-    shuffled = Observation(
-        scalars=obs.scalars,
-        node_feats=obs.node_feats[perm],
-        e_stat=inv[obs.e_stat], w_stat=obs.w_stat,
-        e_dyna=inv[obs.e_dyna], w_dyna=obs.w_dyna,
-        groups=obs.groups[perm], n_groups=obs.n_groups)
+    shuffled = permuted(obs, np.random.default_rng(4).permutation(n))
     _, q_shuffled = q_values(shuffled, net, taus)
     assert np.allclose(q.data, q_shuffled.data, atol=1e-10)
 
@@ -89,7 +102,7 @@ def test_zeroed_message_layer_reduces_to_layer_norm():
         net.params[name].data[...] = 0.0
     h = ad.constant(np.random.default_rng(5).standard_normal(
         (obs.node_feats.shape[0], TINY.d_emb)))
-    out = gnn_layer(h, obs.e_stat, obs.w_stat, net, 0)
+    out = gnn_layer(h, obs.nbr_stat, net, 0)
     want = ad.layer_norm(h, net.params["gnn0.ln.scale"],
                          net.params["gnn0.ln.shift"]).data
     assert np.allclose(out.data, want, atol=1e-12)
@@ -97,7 +110,9 @@ def test_zeroed_message_layer_reduces_to_layer_norm():
 
 def test_single_operation_instance_has_no_edges():
     obs = small_obs(5, j=1, m=1)
-    assert obs.e_stat.shape[1] == 0 and obs.e_dyna.shape[1] == 0
+    # one node, and both of its table entries are the "no neighbour" id 1
+    assert np.all(obs.nbr_stat == 1) and np.all(obs.nbr_dyna == 1)
+    assert obs.nbr_stat.shape == obs.nbr_dyna.shape == (1, 2)
     net = QNetwork(10, TINY, seed=10)
     _, q = q_values(obs, net, np.array([0.5]))
     assert np.all(np.isfinite(q.data))
@@ -108,42 +123,67 @@ def test_group_pooling_ignores_order_within_groups():
     net = QNetwork(10, TINY, seed=11)
     nodes, grp, feat = encode(obs, net)
     # permute whole observation; grouped statistics must be preserved
-    n = obs.node_feats.shape[0]
-    perm = np.roll(np.arange(n), 5)
-    inv = np.empty(n, dtype=int)
-    inv[perm] = np.arange(n)
-    obs2 = Observation(scalars=obs.scalars, node_feats=obs.node_feats[perm],
-                       e_stat=inv[obs.e_stat], w_stat=obs.w_stat,
-                       e_dyna=inv[obs.e_dyna], w_dyna=obs.w_dyna,
-                       groups=obs.groups[perm], n_groups=obs.n_groups)
+    obs2 = permuted(obs, np.roll(np.arange(obs.node_feats.shape[0]), 5))
     _, grp2, _ = encode(obs2, net)
     assert np.allclose(np.sort(grp.data, axis=0), np.sort(grp2.data, axis=0),
                        atol=1e-10)
 
 
 def test_unequal_group_sizes_supported():
-    rng = np.random.default_rng(12)
-    n = 5
-    obs = Observation(
-        scalars=rng.random(7), node_feats=rng.random((n, 5)),
-        e_stat=np.array([[0, 1], [1, 2]]), w_stat=np.ones(2),
-        e_dyna=np.zeros((2, 0), dtype=int), w_dyna=np.zeros(0),
-        groups=np.array([0, 0, 0, 1, 1]), n_groups=2)
+    # chain 0-1-2; nodes 3 and 4 have no neighbours (id 5)
+    obs = table_obs(np.random.default_rng(12),
+                    [[5, 1], [0, 2], [1, 5], [5, 5], [5, 5]],
+                    groups=[0, 0, 0, 1, 1], n_groups=2)
     net = QNetwork(4, TINY, seed=13)
     _, q = q_values(obs, net, np.array([0.2, 0.8]))
     assert q.data.shape == (4,) and np.all(np.isfinite(q.data))
 
 
 def test_empty_group_is_rejected():
-    rng = np.random.default_rng(14)
-    obs = Observation(
-        scalars=rng.random(7), node_feats=rng.random((3, 5)),
-        e_stat=np.zeros((2, 0), dtype=int), w_stat=np.zeros(0),
-        e_dyna=np.zeros((2, 0), dtype=int), w_dyna=np.zeros(0),
-        groups=np.array([0, 0, 2]), n_groups=3)
+    obs = table_obs(np.random.default_rng(14), np.full((3, 2), 3),
+                    groups=[0, 0, 2], n_groups=3)
     net = QNetwork(4, TINY, seed=15)
     with pytest.raises(ValueError):
         encode(obs, net)
+
+
+@pytest.mark.parametrize("bad", [
+    np.full((4, 2), 5),                        # wrong row count
+    np.full((5, 3), 5),                        # wrong width
+    np.array([[5, 1], [0, 6], [1, 5], [5, 5], [5, 5]]),   # id past n
+    np.array([[5, 1], [0, -1], [1, 5], [5, 5], [5, 5]]),  # negative id
+])
+def test_malformed_neighbour_table_is_rejected(bad):
+    obs = table_obs(np.random.default_rng(18), bad, groups=[0, 0, 0, 1, 1],
+                    n_groups=2)
+    with pytest.raises(ValueError, match="neighbour table"):
+        encode(obs, QNetwork(4, TINY, seed=19))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: builtin_instance("ta01"),
+    lambda: generate_instance(6, 6, seed=23),
+], ids=["ta01", "random6x6"])
+def test_neighbor_sum_matches_dense_oracle(make):
+    from oracles import dense_chain_adjacency
+
+    inst = make()
+    state, obs = reset(inst, ActionSpace.ANP, seed=0, t_max=10)
+    for action in (6, 1, 7):  # accept/reject a few proposals first
+        state, _, _, obs = step(state, action)
+    n = inst.n_ops
+    graph = state.pending.graph if state.pending is not None else state.graph
+    job_chains = [[j * inst.n_machines + k for k in range(inst.n_machines)]
+                  for j in range(inst.n_jobs)]
+    rng = np.random.default_rng(n)
+    for nbr, chains in ((obs.nbr_stat, job_chains), (obs.nbr_dyna, graph.mach_order)):
+        a = dense_chain_adjacency(chains, n)
+        h = ad.parameter(rng.standard_normal((n, 16)))
+        g = rng.standard_normal((n, 16))
+        out = ad.neighbor_sum(h, nbr)
+        ad.tsum(ad.mul(out, ad.constant(g))).backward()
+        assert np.array_equal(out.data, a @ h.data)
+        assert np.array_equal(h.grad, a.T @ g)
 
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
