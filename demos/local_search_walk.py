@@ -6,17 +6,18 @@ from jobshopls.neighborhood import (LocalOptimum, Operator, enumerate_moves,
                                     estimate_move, ls_step)
 
 inst = generate_instance(6, 6, seed=7)
-solution = dispatch(inst, DispatchRule.FDD_over_MWKR)
-graph = build_graph(inst, solution)
+graph = build_graph(inst, dispatch(inst, DispatchRule.FDD_over_MWKR))
 print(f"6x6 instance, constructive makespan {graph.makespan}")
 
+# the path and the blocks hold flat op ids: job * n_machines + position
+M, machine = inst.n_machines, inst.machine.reshape(-1)
 path = critical_path(graph)
 print(f"\ncritical path ({len(path)} operations):")
-print("  " + " -> ".join(f"j{op.job}m{inst.machine_of(op)}" for op in path))
+print("  " + " -> ".join(f"j{v // M}m{machine[v]}" for v in path))
 
 print("\ncritical blocks (same-machine runs on the path):")
 for b in critical_blocks(graph):
-    ops = " ".join(f"({o.job},{o.pos})" for o in b.ops)
+    ops = " ".join(f"({v // M},{v % M})" for v in b.ops)
     print(f"  machine {b.machine} from slot {b.start}: {ops}")
 
 # each operator carves a different slice of moves out of those blocks
@@ -33,7 +34,7 @@ for op in Operator:
 print("\nsteepest walk with block-end swaps:")
 cost = graph.makespan
 for it in range(12):
-    result = ls_step(graph, solution, Operator.CET)
+    result = ls_step(graph, Operator.CET)
     if isinstance(result, LocalOptimum):
         print(f"  step {it}: no moves left")
         break

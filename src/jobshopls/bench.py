@@ -20,7 +20,8 @@ import numpy as np
 from .core import Instance, Solution, build_graph, validate
 from .dispatch import DispatchRule, dispatch
 from .env import ActionSpace, reset as env_reset, step as env_step
-from .metaheuristics import ControllerKind, load_controller_config, run
+from .metaheuristics import (ControllerKind, load_controller_config,
+                             read_key_values, run)
 from .taillard import best_known, builtin_names, generate_instance, resolve_instance
 
 _POLICY_METHODS = {"nls_a": ActionSpace.A, "nls_an": ActionSpace.AN,
@@ -231,33 +232,21 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkResult:
     return result
 
 
-_CONFIG_KEYS = {"method", "instances", "iterations", "seed", "checkpoint",
-                "out", "format", "jobs", "controller_file"}
+_CONFIG_FIELDS = {
+    "method": str, "instances": lambda text: tuple(text.replace(",", " ").split()),
+    "iterations": int, "seed": int, "checkpoint": str, "out": str,
+    "format": str, "jobs": int, "controller_file": str,
+}
 
 
 def load_benchmark_config(path) -> BenchmarkConfig:
     """Parse a key=value benchmark description file."""
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value")
-        key, val = (s.strip() for s in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = val
+    values = read_key_values(path, _CONFIG_FIELDS)
     if "method" not in values or "instances" not in values:
         raise ValueError(f"{path}: method and instances are required")
-    return BenchmarkConfig(
-        method=values["method"],
-        instances=tuple(values["instances"].replace(",", " ").split()),
-        iterations=int(values.get("iterations", "100")),
-        seed=int(values.get("seed", "0")),
-        checkpoint=values.get("checkpoint"),
-        out=values.get("out"),
-        fmt=values.get("format", "csv"),
-        jobs=int(values.get("jobs", "1")),
-        controller_file=values.get("controller_file"),
-    )
+    if "format" in values:
+        values["fmt"] = values.pop("format")
+    try:
+        return BenchmarkConfig(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -24,7 +24,10 @@ class OpId(NamedTuple):
 
 
 class MalformedSolutionError(ValueError):
-    """A machine sequence has the wrong shape, wrong ops or duplicates."""
+    """A machine order has the wrong shape, wrong ops or duplicates.
+
+    The message has one line per bad machine, or one line for a bad shape.
+    """
 
 
 class CyclicSolutionError(ValueError):
@@ -79,69 +82,44 @@ class Instance:
                 and np.array_equal(self.proc, other.proc)
                 and np.array_equal(self.machine, other.machine))
 
-    def op_index(self, op: OpId) -> int:
-        """Flat node id of an operation (job-major)."""
-        return op.job * self.n_machines + op.pos
-
-    def op_of_index(self, idx: int) -> OpId:
-        return OpId(idx // self.n_machines, idx % self.n_machines)
-
-    def proc_of(self, op: OpId) -> int:
-        return int(self.proc[op.job, op.pos])
-
-    def machine_of(self, op: OpId) -> int:
-        return int(self.machine[op.job, op.pos])
-
 
 @dataclass
 class Solution:
-    """One processing order per machine.  machine_seq[k] lists ops front to back."""
+    """One processing order per machine.  machine_seq[k] lists ops front to back.
+
+    This is the input and output format; the search carries a SearchGraph,
+    whose ``mach_order`` holds the same orders as flat op ids.
+    """
 
     machine_seq: list[list[OpId]]
 
-    def copy(self) -> "Solution":
-        return Solution([list(seq) for seq in self.machine_seq])
 
+def validate(instance: Instance, solution) -> list[str]:
+    """Return a list of problems; empty means the solution is feasible.
 
-def validate(instance: Instance, solution: Solution) -> list[str]:
-    """Return a list of problems; empty means the solution is feasible."""
-    problems: list[str] = []
-    J, M = instance.n_jobs, instance.n_machines
-    if len(solution.machine_seq) != M:
-        return [f"expected {M} machine sequences, got {len(solution.machine_seq)}"]
-    for k, seq in enumerate(solution.machine_seq):
-        if len(seq) != J:
-            problems.append(f"machine {k}: expected {J} ops, got {len(seq)}")
-            continue
-        seen = set()
-        for op in seq:
-            if not (0 <= op.job < J and 0 <= op.pos < M):
-                problems.append(f"machine {k}: op {op} out of range")
-            elif instance.machine_of(op) != k:
-                problems.append(f"machine {k}: op {op} is routed to "
-                                f"machine {instance.machine_of(op)}")
-            elif op in seen:
-                problems.append(f"machine {k}: op {op} appears more than once")
-            seen.add(op)
-    if problems:
-        return problems
+    ``solution`` is a Solution or an (M, J) array of flat op ids. There is one
+    problem per malformed machine order, or else at most the cycle problem.
+    """
     try:
         build_graph(instance, solution)
+    except MalformedSolutionError as exc:
+        return str(exc).splitlines()
     except CyclicSolutionError:
-        problems.append("precedence graph is cyclic")
-    return problems
+        return ["precedence graph is cyclic"]
+    return []
 
 
 @dataclass(frozen=True)
 class CriticalBlock:
     """Maximal run of consecutive critical ops on one machine.
 
-    ``start`` is the index of the first op within that machine's sequence.
+    ``start`` is the index of the first op within that machine's sequence;
+    ``ops`` are flat op ids.
     """
 
     machine: int
     start: int
-    ops: tuple[OpId, ...]
+    ops: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -151,9 +129,11 @@ class CriticalBlock:
 class SearchGraph:
     """Longest-path quantities for one (instance, solution) pair.
 
-    Treated as immutable once built; applying a move builds a fresh graph.
-    Arrays are indexed by flat op id, with two extra virtual slots for the
-    source (id n_ops) and sink (id n_ops + 1).
+    The search state: treated as immutable once built, and applying a move
+    builds a fresh graph. ``mach_order`` is the solution itself and is
+    read-only. Arrays are indexed by flat op id (job * n_machines + pos),
+    with two extra virtual slots for the source (id n_ops) and sink
+    (id n_ops + 1).
     """
 
     instance: Instance
@@ -168,6 +148,12 @@ class SearchGraph:
     mach_order: np.ndarray    # (M, J) flat op ids in machine-sequence order
     _critical: np.ndarray = field(default=None, repr=False)
     _p_ext: np.ndarray = field(default=None, repr=False)
+
+    def solution(self) -> Solution:
+        """The machine orders as OpId lists."""
+        M = self.instance.n_machines
+        return Solution([[OpId(*divmod(v, M)) for v in row]
+                         for row in self.mach_order.tolist()])
 
     @property
     def source(self) -> int:
@@ -195,31 +181,48 @@ class SearchGraph:
         return self._critical
 
 
-def _flat_sequences(instance: Instance, solution: Solution) -> np.ndarray:
-    """machine_seq as an (M, J) array of flat op ids; raises on malformed input."""
+def _checked_order(instance: Instance, solution) -> np.ndarray:
+    """A Solution or an (M, J) order as a read-only (M, J) array of flat op ids.
+
+    Raises MalformedSolutionError unless row k is a permutation of the ops
+    routed to machine k.
+    """
     J, M = instance.n_jobs, instance.n_machines
-    if len(solution.machine_seq) != M:
-        raise MalformedSolutionError(
-            f"expected {M} machine sequences, got {len(solution.machine_seq)}")
-    seqs = np.empty((M, J), dtype=np.int64)
-    for k, seq in enumerate(solution.machine_seq):
-        if len(seq) != J:
-            raise MalformedSolutionError(f"machine {k}: expected {J} ops, got {len(seq)}")
-        for i, op in enumerate(seq):
-            if not (0 <= op.job < J and 0 <= op.pos < M) or instance.machine_of(op) != k:
-                raise MalformedSolutionError(f"machine {k}: bad op {op}")
-            seqs[k, i] = instance.op_index(op)
-        if len({int(v) for v in seqs[k]}) != J:
-            raise MalformedSolutionError(f"machine {k}: duplicate ops")
-    return seqs
+    if isinstance(solution, Solution):
+        seqs = solution.machine_seq
+        if len(seqs) != M:
+            raise MalformedSolutionError(
+                f"expected {M} machine sequences, got {len(seqs)}")
+        # a row of the wrong length becomes a row of invalid ids
+        ops = np.array([seq if len(seq) == J else [(-1, -1)] * J for seq in seqs],
+                       dtype=np.int64).reshape(M, J, 2)
+        job, pos = ops[..., 0], ops[..., 1]
+        order = np.where((0 <= job) & (job < J) & (0 <= pos) & (pos < M),
+                         job * M + pos, -1)
+    else:
+        order = np.array(solution, dtype=np.int64)
+        if order.shape != (M, J):
+            raise MalformedSolutionError(
+                f"expected an order of shape {(M, J)}, got {order.shape}")
+    routed = np.argsort(instance.machine.reshape(-1), kind="stable").reshape(M, J)
+    bad = np.flatnonzero((np.sort(order, axis=1) != routed).any(axis=1))
+    if bad.size:
+        raise MalformedSolutionError("\n".join(
+            f"machine {k}: not a permutation of the {J} ops routed to it"
+            for k in bad))
+    order.setflags(write=False)
+    return order
 
 
-def build_graph(instance: Instance, solution: Solution) -> SearchGraph:
-    """Compute heads, tails and the makespan; raises if the solution is infeasible."""
+def build_graph(instance: Instance, solution) -> SearchGraph:
+    """Compute heads, tails and the makespan; raises if the solution is infeasible.
+
+    ``solution`` is a Solution or an (M, J) array of flat op ids.
+    """
     J, M = instance.n_jobs, instance.n_machines
     n = instance.n_ops
     source, sink = n, n + 1
-    seqs = _flat_sequences(instance, solution)
+    seqs = _checked_order(instance, solution)
     p = np.zeros(n + 2, dtype=np.int64)
     p[:n] = instance.proc.reshape(-1)
 
@@ -277,8 +280,8 @@ def build_graph(instance: Instance, solution: Solution) -> SearchGraph:
     )
 
 
-def critical_path(graph: SearchGraph) -> list[OpId]:
-    """One deterministic critical path, source side first.
+def critical_path(graph: SearchGraph) -> list[int]:
+    """One deterministic critical path of flat op ids, source side first.
 
     Walking backward from the sink we follow the predecessor with the larger
     head, breaking ties by machine predecessor over job predecessor and then
@@ -306,7 +309,7 @@ def critical_path(graph: SearchGraph) -> list[OpId]:
                 best = (key, u)
         v = best[1]
         path.append(v)
-    return [inst.op_of_index(i) for i in reversed(path)]
+    return path[::-1]
 
 
 def critical_blocks(graph: SearchGraph) -> list[CriticalBlock]:
@@ -315,27 +318,23 @@ def critical_blocks(graph: SearchGraph) -> list[CriticalBlock]:
     Consecutive path ops belong to one block only when they are adjacent in
     that machine's processing order; blocks of length one are kept.
     """
-    inst = graph.instance
-    path = critical_path(graph)
     blocks: list[CriticalBlock] = []
-    run: list[OpId] = []
-    for op in path:
-        if run and inst.op_index(run[-1]) == int(graph.mach_pred[inst.op_index(op)]):
-            run.append(op)
+    run: list[int] = []
+    for v in critical_path(graph):
+        if run and run[-1] == int(graph.mach_pred[v]):
+            run.append(v)
         else:
             if run:
                 blocks.append(_finish_block(graph, run))
-            run = [op]
+            run = [v]
     if run:
         blocks.append(_finish_block(graph, run))
     return blocks
 
 
-def _finish_block(graph: SearchGraph, run: list[OpId]) -> CriticalBlock:
-    inst = graph.instance
-    first = inst.op_index(run[0])
+def _finish_block(graph: SearchGraph, run: list[int]) -> CriticalBlock:
     return CriticalBlock(
-        machine=inst.machine_of(run[0]),
-        start=int(graph.pos_on_machine[first]),
+        machine=int(graph.instance.machine.flat[run[0]]),
+        start=int(graph.pos_on_machine[run[0]]),
         ops=tuple(run),
     )

@@ -106,13 +106,10 @@ class Observation:
 class EnvState:
     instance: Instance
     action_space: ActionSpace
-    solution: Solution
     graph: SearchGraph
     pending: Optional[Proposal]
-    snap_solution: Solution
-    snap_graph: SearchGraph
     best_cost: int
-    best_solution: Solution
+    best_graph: SearchGraph
     init_cost: int
     t: int
     t_max: int
@@ -127,6 +124,10 @@ class EnvState:
     @property
     def done(self) -> bool:
         return self.t >= self.t_max
+
+    @property
+    def best_solution(self) -> Solution:
+        return self.best_graph.solution()
 
 
 def _chain_neighbors(chains: np.ndarray, n: int) -> np.ndarray:
@@ -182,25 +183,20 @@ def reset(instance: Instance, action_space: ActionSpace = ActionSpace.ANP,
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
     rng = np.random.default_rng(seed)
-    solution = dispatch(instance, DispatchRule.FDD_over_MWKR)
-    graph = build_graph(instance, solution)
+    graph = build_graph(instance, dispatch(instance, DispatchRule.FDD_over_MWKR))
     init_cost = graph.makespan
 
-    snap_solution, snap_graph = solution.copy(), graph
-    out = ls_step(graph, solution, Operator.CT)
+    out = ls_step(graph, Operator.CT)
     pending = out if isinstance(out, Proposal) else None
 
     job_ids = np.arange(instance.n_ops).reshape(instance.n_jobs, instance.n_machines)
     state = EnvState(
         instance=instance,
         action_space=action_space,
-        solution=solution,
         graph=graph,
         pending=pending,
-        snap_solution=snap_solution,
-        snap_graph=snap_graph,
         best_cost=init_cost,
-        best_solution=snap_solution.copy(),
+        best_graph=graph,
         init_cost=init_cost,
         t=0,
         t_max=t_max,
@@ -228,24 +224,19 @@ def step(state: EnvState, action: int
         raise InvalidAction("episode is over; call reset")
     accept, operator, wants_pert = state.action_space.decode(action)
 
-    if state.pending is not None:
-        if accept:
-            state.graph = state.pending.graph
-        else:
-            state.solution = state.snap_solution
-            state.graph = state.snap_graph
+    # rejecting keeps state.graph: ls_step never changes it
+    if state.pending is not None and accept:
+        state.graph = state.pending.graph
     state.last_accept = int(accept)
 
     if wants_pert:
         state.graph = perturb(
-            state.solution, state.graph,
-            Perturbation(strength=state.perturbation_strength), state.rng)
+            state.graph, Perturbation(strength=state.perturbation_strength),
+            state.rng)
         state.n_perturbations += 1
         state.pending = None
-        state.snap_solution, state.snap_graph = state.solution.copy(), state.graph
     else:
-        state.snap_solution, state.snap_graph = state.solution.copy(), state.graph
-        out = ls_step(state.graph, state.solution, operator)
+        out = ls_step(state.graph, operator)
         state.pending = out if isinstance(out, Proposal) else None
         state.last_operator = operator
 
@@ -253,7 +244,7 @@ def step(state: EnvState, action: int
     reward = float(max(state.best_cost - committed, 0))
     if committed < state.best_cost:
         state.best_cost = committed
-        state.best_solution = state.snap_solution.copy()
+        state.best_graph = state.graph
         state.stall = 0
     else:
         state.stall += 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional, Union
 
@@ -214,18 +214,16 @@ def run(config: Union[ControllerConfig, ControllerKind], instance: Instance,
         raise ValueError("iterations must be >= 1")
     rng = np.random.default_rng(seed)
 
-    solution = dispatch(instance, init_rule,
-                        seed=int(rng.integers(1 << 31)))
-    graph = build_graph(instance, solution)
+    graph = build_graph(instance, dispatch(instance, init_rule,
+                                           seed=int(rng.integers(1 << 31))))
     init_cost = graph.makespan
     best_cost = init_cost
-    best_solution = solution.copy()
+    best_graph = graph
 
     ctrl = Controller(config, init_cost, iterations, rng, init_rule)
 
     # first proposal, mirroring the environment's reset
-    snap_sol, snap_graph = solution.copy(), graph
-    out = ls_step(graph, solution, Operator.CT)
+    out = ls_step(graph, Operator.CT)
     pending = out if isinstance(out, Proposal) else None
 
     committed_cost = graph.makespan
@@ -243,79 +241,83 @@ def run(config: Union[ControllerConfig, ControllerKind], instance: Instance,
         )
         decision = ctrl.decide(view)
 
-        if pending is not None:
-            if decision.accept_last:
-                graph = pending.graph
-            else:
-                solution = snap_sol
-                graph = snap_graph
+        # rejecting keeps ``graph``: ls_step never changes it
+        if pending is not None and decision.accept_last:
+            graph = pending.graph
         committed_cost = graph.makespan
 
         if committed_cost < best_cost:
-            best_cost = committed_cost
-            best_solution = solution.copy()
+            best_cost, best_graph = committed_cost, graph
             stall = 0
         else:
             stall += 1
 
         event = ""
         if decision.restart is not None:
-            solution = stochastic_dispatch(
+            graph = build_graph(instance, stochastic_dispatch(
                 instance, decision.restart.rule, decision.restart.noise,
-                seed=int(rng.integers(1 << 31)))
-            graph = build_graph(instance, solution)
+                seed=int(rng.integers(1 << 31))))
             committed_cost = graph.makespan
             stall = 0
             event = "restart"
         elif decision.perturb is not None:
-            graph = perturb(solution, graph, decision.perturb, rng)
+            graph = perturb(graph, decision.perturb, rng)
             committed_cost = graph.makespan
             stall = 0
             event = "perturb"
         if committed_cost < best_cost:
-            best_cost = committed_cost
-            best_solution = solution.copy()
+            best_cost, best_graph = committed_cost, graph
 
-        snap_sol, snap_graph = solution.copy(), graph
-        out = ls_step(graph, solution, decision.next_operator)
+        out = ls_step(graph, decision.next_operator)
         pending = out if isinstance(out, Proposal) else None
 
         trace.append(TraceRow(t, decision.next_operator.value,
                               decision.accept_last, committed_cost,
                               best_cost, event))
 
-    return RunResult(best_solution=best_solution, best_cost=best_cost,
+    return RunResult(best_solution=best_graph.solution(), best_cost=best_cost,
                      trace=trace)
+
+
+def read_key_values(path, fields: dict) -> dict:
+    """Parse a ``key = value`` file, converting each value with ``fields[key]``.
+
+    Blank lines and ``#`` comments are skipped, keys are case-insensitive and
+    a repeated key keeps its last value. Every error names ``path:lineno``.
+    """
+    values = {}
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key = value")
+        key, text = (part.strip() for part in line.split("=", 1))
+        key = key.lower()
+        if key not in fields:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            values[key] = fields[key](text)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
+    return values
+
+
+_CONTROLLER_FIELDS = {
+    "kind": ControllerKind.parse, "t0": float, "alpha_t": float,
+    "n_stall": int, "restart_after": int, "strength": int,
+    "restart_noise": float,
+    "operator_order": lambda text: tuple(
+        Operator.parse(tok) for tok in text.replace(",", " ").split()),
+}
 
 
 def load_controller_config(path) -> ControllerConfig:
     """Read a key=value config file into a ControllerConfig."""
-    text = Path(path).read_text()
-    raw: dict[str, str] = {}
-    for ln, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{ln}: expected key = value")
-        key, value = (part.strip() for part in line.split("=", 1))
-        raw[key.lower()] = value
-    if "kind" not in raw:
+    values = read_key_values(path, _CONTROLLER_FIELDS)
+    if "kind" not in values:
         raise ValueError(f"{path}: missing required key 'kind'")
-    cfg = ControllerConfig(kind=ControllerKind.parse(raw.pop("kind")))
-    updates = {}
-    for key, value in raw.items():
-        if key == "t0":
-            updates["t0"] = float(value)
-        elif key == "alpha_t":
-            updates["alpha_t"] = float(value)
-        elif key in ("n_stall", "restart_after", "strength"):
-            updates[key] = int(value)
-        elif key == "restart_noise":
-            updates["restart_noise"] = float(value)
-        elif key == "operator_order":
-            updates["operator_order"] = tuple(
-                Operator.parse(tok) for tok in value.replace(",", " ").split())
-        else:
-            raise ValueError(f"{path}: unknown key {key!r}")
-    return replace(cfg, **updates)
+    try:
+        return ControllerConfig(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

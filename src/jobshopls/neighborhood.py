@@ -10,8 +10,9 @@ current schedule:
          adjacent slots are already covered by CT).
 
 Each move gets an O(m) makespan estimate from provisional heads and tails;
-``ls_step`` applies the best-estimate move and reports its exact cost, while
-accept/revert stays with the caller.
+``ls_step`` builds the graph of the best-estimate move and reports its exact
+cost, while accept/revert stays with the caller, which keeps either that
+graph or its own.
 """
 from __future__ import annotations
 
@@ -21,13 +22,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import (
-    CyclicSolutionError,
-    SearchGraph,
-    Solution,
-    build_graph,
-    critical_blocks,
-)
+from .core import CyclicSolutionError, SearchGraph, build_graph, critical_blocks
 
 
 class InvalidMove(ValueError):
@@ -77,15 +72,10 @@ class Move:
     pos_b: int
 
 
-class PerturbationKind(enum.Enum):
-    RANDOM_CT_SEQUENCE = "random_ct_sequence"
-
-
 @dataclass(frozen=True)
 class Perturbation:
     """A diversification request: ``strength`` random CT moves in a row."""
 
-    kind: PerturbationKind = PerturbationKind.RANDOM_CT_SEQUENCE
     strength: int = 3
 
     def __post_init__(self):
@@ -251,44 +241,40 @@ def estimate_move(graph: SearchGraph, move: Move) -> MoveEval:
     return MoveEval(move=move, estimate=est)
 
 
-def apply_move(solution: Solution, graph: SearchGraph,
-               move: Move) -> tuple[Solution, SearchGraph]:
-    """Mutate the solution and rebuild the graph.
+def apply_move(graph: SearchGraph, move: Move) -> SearchGraph:
+    """Build the graph of the schedule with ``move`` applied.
 
-    CEI insertions can break feasibility; those raise WouldCreateCycle and
-    leave the solution untouched. Adjacent swaps of critical pairs cannot
-    create cycles, so any cycle there propagates as a hard error.
+    CEI insertions can break feasibility; those raise WouldCreateCycle.
+    Adjacent swaps of critical pairs cannot create cycles, so any cycle
+    there propagates as a hard error.
     """
     _check_positions(graph, move)
-    seq = solution.machine_seq[move.machine]
+    order = graph.mach_order.copy()
+    seq = order[move.machine]
     a, b = move.pos_a, move.pos_b
     if move.kind in (Operator.CT, Operator.CET):
-        seq[a], seq[a + 1] = seq[a + 1], seq[a]
+        seq[[a, a + 1]] = seq[[a + 1, a]]
     elif move.kind is Operator.ECET:
-        seq[a], seq[a + 1] = seq[a + 1], seq[a]
-        seq[b], seq[b + 1] = seq[b + 1], seq[b]
+        seq[[a, a + 1, b, b + 1]] = seq[[a + 1, a, b + 1, b]]
     else:
-        op = seq.pop(a)
-        seq.insert(b, op)
+        seq[:] = np.insert(np.delete(seq, a), b, seq[a])
         try:
-            return solution, build_graph(graph.instance, solution)
+            return build_graph(graph.instance, order)
         except CyclicSolutionError:
-            seq.pop(b)
-            seq.insert(a, op)
             raise WouldCreateCycle(
                 f"insertion {a}->{b} on machine {move.machine} breaks a job route"
             ) from None
-    return solution, build_graph(graph.instance, solution)
+    return build_graph(graph.instance, order)
 
 
-def ls_step(graph: SearchGraph, solution: Solution,
-            op: Operator) -> Union[Proposal, LocalOptimum]:
-    """Apply the best-estimate move of one operator.
+def ls_step(graph: SearchGraph, op: Operator) -> Union[Proposal, LocalOptimum]:
+    """Propose the best-estimate move of one operator.
 
     Ties go to enumeration order. Infeasible CEI insertions fall through to
-    the next-best candidate. Returns LocalOptimum, without touching the
-    state, when no move exists (or every candidate is infeasible).
-    Acceptance of the outcome is the caller's job.
+    the next-best candidate. Returns LocalOptimum when no move exists (or
+    every candidate is infeasible). ``graph`` itself is never changed, so
+    the caller accepts by taking the proposal's graph and rejects by
+    keeping its own.
     """
     moves = enumerate_moves(graph, op)
     if not moves:
@@ -296,7 +282,7 @@ def ls_step(graph: SearchGraph, solution: Solution,
     evals = [estimate_move(graph, mv) for mv in moves]
     for k in sorted(range(len(evals)), key=lambda k: (evals[k].estimate, k)):
         try:
-            _, new_graph = apply_move(solution, graph, moves[k])
+            new_graph = apply_move(graph, moves[k])
         except WouldCreateCycle:
             continue
         return Proposal(move=moves[k], eval=evals[k],
@@ -304,7 +290,7 @@ def ls_step(graph: SearchGraph, solution: Solution,
     return LocalOptimum()
 
 
-def perturb(solution: Solution, graph: SearchGraph, pert: Perturbation,
+def perturb(graph: SearchGraph, pert: Perturbation,
             seed: Optional[Union[int, np.random.Generator]] = None
             ) -> SearchGraph:
     """Apply ``pert.strength`` random CT moves, re-deriving blocks each time.
@@ -317,6 +303,5 @@ def perturb(solution: Solution, graph: SearchGraph, pert: Perturbation,
         moves = enumerate_moves(graph, Operator.CT)
         if not moves:
             break
-        mv = moves[int(rng.integers(len(moves)))]
-        _, graph = apply_move(solution, graph, mv)
+        graph = apply_move(graph, moves[int(rng.integers(len(moves)))])
     return graph

@@ -89,7 +89,8 @@ def test_c03_move_estimates_never_exceed_exact_cost():
         sol = dispatch(inst, rules[seed % len(rules)])
         g = build_graph(inst, sol)
         if seed % 2:  # diversify beyond constructive schedules
-            g = perturb(sol, g, Perturbation(strength=3), seed=seed)
+            g = perturb(g, Perturbation(strength=3), seed=seed)
+            sol = g.solution()
         for op in Operator:
             for mv in enumerate_moves(g, op):
                 exact = exact_move_cost(inst, sol, mv)

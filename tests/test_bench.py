@@ -115,6 +115,23 @@ def test_config_file_parsing(tmp_path):
         load_benchmark_config(q)
 
 
+def test_benchmark_config_errors_name_the_line(tmp_path):
+    p = tmp_path / "bad.cfg"
+    cases = [
+        ("method = vns\ninstances ta01\n", f"{p}:2: expected key = value"),
+        ("method = vns\n# sweep\nmachines = 5\n", f"{p}:3: unknown key 'machines'"),
+        ("method = vns\ninstances = ta01\niterations = ten\n",
+         f"{p}:3: iterations: invalid literal"),
+        ("method = vns\n", f"{p}: method and instances are required"),
+        ("method = tabu\ninstances = ta01\n", f"{p}: unknown method 'tabu'"),
+    ]
+    for text, message in cases:
+        p.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_benchmark_config(p)
+        assert str(err.value).startswith(message), text
+
+
 def test_out_file_written(tmp_path):
     out = tmp_path / "res.csv"
     run_benchmark(BenchmarkConfig(method="mwkr", instances=("ta05",),

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from jobshopls import build_graph, critical_blocks, critical_path, generate_instance, validate
-from jobshopls.core import CyclicSolutionError, Instance, OpId, Solution
+from jobshopls.core import (CyclicSolutionError, Instance, MalformedSolutionError,
+                            OpId, Solution)
 from jobshopls.dispatch import DispatchRule, dispatch
 
 from oracles import simulate_makespan
@@ -46,7 +47,7 @@ def test_heads_are_start_times_and_tails_complete_paths():
                 if op.pos != job_next[op.job]:
                     break
                 s = max(job_free[op.job], mach_free[k])
-                start[inst.op_index(op)] = s
+                start[op.job * M + op.pos] = s
                 e = s + inst.proc[op.job, op.pos]
                 job_free[op.job] = e
                 mach_free[k] = e
@@ -64,24 +65,22 @@ def test_critical_path_is_connected_chain():
     inst = generate_instance(6, 6, seed=2)
     sol = dispatch(inst, DispatchRule.MWKR)
     g = build_graph(inst, sol)
+    p, machine = inst.proc.reshape(-1), inst.machine.reshape(-1)
     path = critical_path(g)
-    total = sum(inst.proc_of(op) for op in path)
-    assert total == g.makespan
+    assert sum(p[v] for v in path) == g.makespan
     # consecutive ops share a job or a machine and are time-adjacent
     for a, b in zip(path, path[1:]):
-        ia, ib = inst.op_index(a), inst.op_index(b)
-        assert g.head[ia] + inst.proc_of(a) == g.head[ib]
-        assert (a.job == b.job) or (inst.machine_of(a) == inst.machine_of(b))
+        assert g.head[a] + p[a] == g.head[b]
+        assert (a // inst.n_machines == b // inst.n_machines) or (machine[a] == machine[b])
 
 
 def test_critical_blocks_are_maximal_same_machine_runs():
     inst = generate_instance(8, 5, seed=3)
     sol = dispatch(inst, DispatchRule.FIFO)
     g = build_graph(inst, sol)
-    crit = {op for op, m in zip(
-        (inst.op_of_index(i) for i in range(inst.n_ops)), g.critical_mask) if m}
+    crit = set(np.flatnonzero(g.critical_mask).tolist())
     for block in critical_blocks(g):
-        seq = sol.machine_seq[block.machine]
+        seq = [op.job * inst.n_machines + op.pos for op in sol.machine_seq[block.machine]]
         lo = block.start
         hi = lo + len(block.ops)
         assert list(block.ops) == seq[lo:hi]
@@ -114,9 +113,43 @@ def test_validate_reports_malformed_solutions():
     inst = tiny_instance()
     good = dispatch(inst, DispatchRule.SPT)
     assert validate(inst, good) == []
-    assert validate(inst, Solution([[OpId(0, 0), OpId(1, 1)]]))  # missing machine
-    dup = Solution([[OpId(0, 0), OpId(0, 0)], [OpId(1, 0), OpId(0, 1)]])
-    assert validate(inst, dup)
+    assert validate(inst, build_graph(inst, good).mach_order) == []
+
+    def sol(*rows):
+        return Solution([[OpId(*op) for op in row] for row in rows])
+
+    def named(*machines):
+        return [f"machine {k}: not a permutation of the 2 ops routed to it"
+                for k in machines]
+
+    # flat ids: 0 = (0, 0) and 3 = (1, 1) run on machine 0, 2 = (1, 0) and
+    # 1 = (0, 1) on machine 1
+    cases = [  # (fault, malformed input, what validate reports)
+        ("missing machine", sol([(0, 0), (1, 1)]),
+         ["expected 2 machine sequences, got 1"]),
+        ("missing machine", np.array([[0, 3]]),
+         ["expected an order of shape (2, 2), got (1, 2)"]),
+        ("wrong op count", sol([(0, 0)], [(1, 0), (0, 1)]), named(0)),
+        ("wrong op count", np.array([[0], [2]]),
+         ["expected an order of shape (2, 2), got (2, 1)"]),
+        ("op out of range", sol([(0, 0), (1, 1)], [(1, 0), (0, 5)]), named(1)),
+        ("op out of range", np.array([[0, 3], [2, 4]]), named(1)),
+        # (1, -1) would alias flat id 1, the op that belongs in that slot
+        ("op out of range", sol([(0, 0), (1, 1)], [(1, 0), (1, -1)]), named(1)),
+        ("op out of range", np.array([[0, 3], [2, -1]]), named(1)),
+        ("misrouted op", sol([(0, 0), (1, 0)], [(1, 1), (0, 1)]), named(0, 1)),
+        ("misrouted op", np.array([[0, 2], [3, 1]]), named(0, 1)),
+        ("duplicate", sol([(0, 0), (0, 0)], [(1, 0), (0, 1)]), named(0)),
+        ("duplicate", np.array([[0, 0], [2, 1]]), named(0)),
+    ]
+    for fault, bad, want in cases:
+        assert validate(inst, bad) == want, fault
+        with pytest.raises(MalformedSolutionError):
+            build_graph(inst, bad)
+
+    cyclic = sol([(1, 1), (0, 0)], [(0, 1), (1, 0)])
+    for bad in (cyclic, np.array([[3, 0], [1, 2]])):
+        assert validate(inst, bad) == ["precedence graph is cyclic"]
 
 
 def test_instance_rejects_bad_routes():

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from jobshopls import build_graph, builtin_instance, generate_instance, validate
-from jobshopls.core import OpId
 from jobshopls.dispatch import DispatchRule, dispatch, stochastic_dispatch
 
 DETERMINISTIC = [r for r in DispatchRule if r is not DispatchRule.RND]
@@ -61,20 +60,21 @@ def test_schedules_are_non_delay(rule):
     start = g.head[:n]
     end = start + inst.proc.reshape(-1)
 
-    def ready(op):
-        return 0 if op.pos == 0 else end[inst.op_index(OpId(op.job, op.pos - 1))]
+    def ready(v):
+        # flat id v - 1 is the job predecessor of every op but a job's first
+        return 0 if v % inst.n_machines == 0 else end[v - 1]
 
-    for seq in sol.machine_seq:
-        starts = [start[inst.op_index(o)] for o in seq]
+    for seq in g.mach_order:
+        starts = start[seq]
         gaps = [(0, starts[0])] + [
-            (end[inst.op_index(a)], starts[i + 1])
+            (end[a], starts[i + 1])
             for i, a in enumerate(seq[:-1])]
         for i, (g1, g2) in enumerate(gaps):
             if g1 >= g2:
                 continue
             # every op scheduled after the idle window became ready after it
-            for op in seq[i:]:
-                assert ready(op) >= g2
+            for v in seq[i:]:
+                assert ready(v) >= g2
 
 
 def test_stochastic_dispatch_varies_and_stays_valid():

@@ -91,6 +91,24 @@ def test_config_file_round_trip(tmp_path):
     assert load_controller_config(p) == cfg
 
 
+def test_controller_config_errors_name_the_line(tmp_path):
+    p = tmp_path / "bad.cfg"
+    cases = [
+        ("kind = sa\nt0 0.05\n", f"{p}:2: expected key = value"),
+        ("# SA\nkind = sa\nspeed = 3\n", f"{p}:3: unknown key 'speed'"),
+        ("kind = sa\n\nn_stall = many\n", f"{p}:3: n_stall: invalid literal"),
+        ("kind = tabu\n", f"{p}:1: kind: unknown controller 'tabu'"),
+        ("kind = vns\noperator_order = ct cet\n",
+         f"{p}: operator_order must be a permutation"),
+        ("t0 = 0.1\n", f"{p}: missing required key 'kind'"),
+    ]
+    for text, message in cases:
+        p.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_controller_config(p)
+        assert str(err.value).startswith(message), text
+
+
 def test_explicit_config_object_is_honoured():
     inst = generate_instance(6, 6, seed=37)
     cfg = ControllerConfig.for_kind(ControllerKind.ILS)

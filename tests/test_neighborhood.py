@@ -1,6 +1,7 @@
 """Critical-block move operators: enumeration, estimates, application."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jobshopls import build_graph, critical_blocks, generate_instance, validate
 from jobshopls.dispatch import DispatchRule, dispatch
@@ -8,7 +9,7 @@ from jobshopls.neighborhood import (LocalOptimum, Operator, Perturbation, Propos
                                     WouldCreateCycle, apply_move, enumerate_moves,
                                     estimate_move, ls_step, perturb)
 
-from oracles import exact_move_cost, simulate_makespan
+from oracles import apply_move_to_sequences, exact_move_cost, simulate_makespan
 
 
 def graph_for(seed, j=6, m=6, rule=DispatchRule.SPT):
@@ -82,11 +83,12 @@ def test_compound_move_estimates_never_exceed_exact():
 def test_apply_move_updates_graph_consistently():
     inst, sol, g = graph_for(3)
     mv = enumerate_moves(g, Operator.CT)[0]
-    before = [list(s) for s in sol.machine_seq]
-    sol2, g2 = apply_move(sol, g, mv)
+    g2 = apply_move(g, mv)
+    sol2 = g2.solution()
     assert validate(inst, sol2) == []
     assert g2.makespan == simulate_makespan(inst, sol2)
-    assert [list(s) for s in sol2.machine_seq] != before
+    assert sol2 == apply_move_to_sequences(sol, mv) != sol
+    assert g.solution() == sol  # the old graph is untouched
 
 
 def test_infeasible_insertion_leaves_solution_untouched():
@@ -95,10 +97,9 @@ def test_infeasible_insertion_leaves_solution_untouched():
         inst, sol, g = graph_for(seed, j=8, m=4)
         for mv in enumerate_moves(g, Operator.CEI):
             if exact_move_cost(inst, sol, mv) is None:
-                before = [list(s) for s in sol.machine_seq]
                 with pytest.raises(WouldCreateCycle):
-                    apply_move(sol, g, mv)
-                assert [list(s) for s in sol.machine_seq] == before
+                    apply_move(g, mv)
+                assert g.solution() == sol
                 tried += 1
         if tried:
             break
@@ -109,7 +110,7 @@ def test_ls_step_picks_minimum_estimate_first_tie():
     for seed in range(6):
         inst, sol, g = graph_for(seed)
         moves = enumerate_moves(g, Operator.CT)
-        result = ls_step(g, dispatch(inst, DispatchRule.SPT), Operator.CT)
+        result = ls_step(g, Operator.CT)
         if isinstance(result, LocalOptimum):
             assert not moves
             continue
@@ -123,25 +124,60 @@ def test_ls_step_picks_minimum_estimate_first_tie():
 
 def test_ls_step_cost_matches_full_rebuild():
     inst, sol, g = graph_for(4)
-    result = ls_step(g, sol, Operator.CET)
+    result = ls_step(g, Operator.CET)
     assert isinstance(result, Proposal)
-    assert result.new_cost == simulate_makespan(inst, sol)
+    assert result.new_cost == simulate_makespan(
+        inst, apply_move_to_sequences(sol, result.move))
 
 
 def test_perturbation_is_seeded_and_valid():
     inst1, sol1, g1 = graph_for(9)
     inst2, sol2, g2 = graph_for(9)
-    pa = perturb(sol1, g1, Perturbation(strength=4), seed=2)
-    pb = perturb(sol2, g2, Perturbation(strength=4), seed=2)
-    assert sol1.machine_seq == sol2.machine_seq
+    pa = perturb(g1, Perturbation(strength=4), seed=2)
+    pb = perturb(g2, Perturbation(strength=4), seed=2)
+    assert np.array_equal(pa.mach_order, pb.mach_order)
     assert pa.makespan == pb.makespan
-    assert validate(inst1, sol1) == []
-    assert pa.makespan == simulate_makespan(inst1, sol1)
+    assert validate(inst1, pa.solution()) == []
+    assert pa.makespan == simulate_makespan(inst1, pa.solution())
 
 
 def test_perturbation_strength_zero_is_identity():
     inst, sol, g = graph_for(5)
-    before = [list(s) for s in sol.machine_seq]
-    g2 = perturb(sol, g, Perturbation(strength=0), seed=0)
-    assert [list(s) for s in sol.machine_seq] == before
+    g2 = perturb(g, Perturbation(strength=0), seed=0)
+    assert g2.solution() == sol
     assert g2.makespan == g.makespan
+
+
+@settings(max_examples=60, deadline=None)
+@given(j=st.integers(1, 6), m=st.integers(1, 5), seed=st.integers(0, 10_000),
+       steps=st.lists(st.tuples(st.sampled_from([*Operator, "perturb"]),
+                                st.integers(0, 10_000)), min_size=1, max_size=12))
+def test_moves_and_perturbations_return_fresh_graphs(j, m, seed, steps):
+    # each step builds a new graph equal to a full rebuild of the moved
+    # orders and leaves the old graph, whose order is read-only, as it was
+    inst = generate_instance(j, m, seed=seed)
+    g = build_graph(inst, dispatch(inst, DispatchRule.RND, seed=seed))
+    for kind, pick in steps:
+        old_order, old_sol = g.mach_order.copy(), g.solution()
+        if kind == "perturb":
+            new = perturb(g, Perturbation(strength=2), seed=pick)
+        else:
+            moves = enumerate_moves(g, kind)
+            if not moves:
+                continue
+            mv = moves[pick % len(moves)]
+            want = apply_move_to_sequences(old_sol, mv)
+            try:
+                new = apply_move(g, mv)
+            except WouldCreateCycle:
+                assert simulate_makespan(inst, want) is None
+                continue
+            assert new.solution() == want
+        ref = build_graph(inst, new.solution())
+        assert np.array_equal(new.head, ref.head)
+        assert np.array_equal(new.tail, ref.tail)
+        assert new.makespan == ref.makespan == simulate_makespan(inst, new.solution())
+        assert np.array_equal(g.mach_order, old_order)
+        with pytest.raises(ValueError):
+            g.mach_order[0, 0] = -1
+        g = new
