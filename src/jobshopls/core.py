@@ -240,37 +240,44 @@ def build_graph(instance: Instance, solution) -> SearchGraph:
     pos_on_machine = np.zeros(n, dtype=np.int64)
     pos_on_machine[seqs.reshape(-1)] = np.tile(np.arange(J), M)
 
-    # Kahn's algorithm over the real ops; failure to drain means a cycle.
-    indeg = (job_pred[:n] != source).astype(np.int64) + (mach_pred[:n] != source)
-    order = np.empty(n, dtype=np.int64)
-    queue = list(np.flatnonzero(indeg == 0))
-    head = np.zeros(n + 2, dtype=np.int64)
-    count = 0
+    # Both longest-path passes run on Python ints: indexing lists is several
+    # times faster than indexing numpy arrays one scalar at a time.
+    # end[v] = head[v] + p[v] and out[v] = tail[v] + p[v]; the virtual slots
+    # stay 0.
+    pl, jp, mp, js, ms = (a.tolist() for a in
+                          (p, job_pred, mach_pred, job_succ, mach_succ))
+    # Kahn's algorithm over the real ops: an op is queued once both of its
+    # predecessors are done; failure to drain means a cycle.
+    done = [False] * (n + 2)
+    done[source] = True
+    queue = [v for v in range(n) if jp[v] == source and mp[v] == source]
+    order = []
+    end = [0] * (n + 2)
     while queue:
-        v = int(queue.pop())
-        order[count] = v
-        count += 1
-        jp, mp = int(job_pred[v]), int(mach_pred[v])
-        head[v] = max(head[jp] + p[jp], head[mp] + p[mp])
-        for u in (int(job_succ[v]), int(mach_succ[v])):
-            if u < n:
-                indeg[u] -= 1
-                if indeg[u] == 0:
-                    queue.append(u)
-    if count != n:
+        v = queue.pop()
+        order.append(v)
+        done[v] = True
+        a, b = end[jp[v]], end[mp[v]]
+        end[v] = (a if a > b else b) + pl[v]
+        u = js[v]
+        if u < n and done[mp[u]]:
+            queue.append(u)
+        u = ms[v]
+        if u < n and done[jp[u]]:
+            queue.append(u)
+    if len(order) != n:
         raise CyclicSolutionError("machine sequences conflict with job routes")
 
-    tail = np.zeros(n + 2, dtype=np.int64)
-    for v in order[::-1]:
-        js, ms = int(job_succ[v]), int(mach_succ[v])
-        tail[v] = max(tail[js] + p[js], tail[ms] + p[ms])
-    makespan = int((head[:n] + p[:n]).max()) if n else 0
+    out = [0] * (n + 2)
+    for v in reversed(order):
+        a, b = out[js[v]], out[ms[v]]
+        out[v] = (a if a > b else b) + pl[v]
 
     return SearchGraph(
         instance=instance,
-        head=head,
-        tail=tail,
-        makespan=makespan,
+        head=np.array(end, dtype=np.int64) - p,
+        tail=np.array(out, dtype=np.int64) - p,
+        makespan=max(end[:n], default=0),
         mach_pred=mach_pred,
         mach_succ=mach_succ,
         job_pred=job_pred,

@@ -4,23 +4,20 @@ Schedules are built non-delay: the dispatcher simulates the shop in event
 time and whenever a machine is free and at least one job is waiting in its
 queue, the lowest-index such machine immediately pulls the waiting job with
 the best (lowest) priority score. Score and event arithmetic runs on
-processing times scaled by the largest duration in single precision; this
-pins a reproducible resolution order for equal raw scores and simultaneous
-completions. Ties that survive scoring go to the lower job index.
+processing times scaled by the largest duration (by 1 when all are zero) in
+single precision; this pins a reproducible resolution order for equal raw
+scores and simultaneous completions. Ties that survive scoring go to the
+lower job index.
 """
 from __future__ import annotations
 
+import bisect
 import enum
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .core import Instance, OpId, Solution
-
-# sentinel for "not in queue" in the countdown table; finite so integer
-# arrays holding it stay exact
-_FAR = 1e7
 
 
 class DispatchRule(enum.Enum):
@@ -44,49 +41,6 @@ class DispatchRule(enum.Enum):
             f"unknown dispatch rule {text!r}; expected one of "
             f"{[r.value for r in cls]}"
         )
-
-
-@dataclass
-class DispatchState:
-    """Mutable bookkeeping of a partially dispatched schedule.
-
-    Times are in raw (unscaled) units. ``partial`` holds the machine
-    sequences built so far.
-    """
-
-    job_ready_time: np.ndarray
-    machine_ready_time: np.ndarray
-    next_pos: np.ndarray
-    partial: list
-    rng: Optional[np.random.Generator] = field(default=None, repr=False)
-
-
-def priority(rule: DispatchRule, candidate: OpId, state: DispatchState,
-             instance: Instance) -> float:
-    """Score of a candidate operation; lower is dispatched first.
-
-    FIFO ranks by the time the candidate entered its machine queue (the
-    completion time of the job's previous operation). MWKR and MOPNR negate
-    their quantity so that "most" maps to "lowest score".
-    """
-    j, k = candidate.job, candidate.pos
-    row = instance.proc[j]
-    if rule is DispatchRule.FIFO:
-        return float(state.job_ready_time[j])
-    if rule is DispatchRule.SPT:
-        return float(row[k])
-    if rule is DispatchRule.MWKR:
-        return -float(row[k:].sum())
-    if rule is DispatchRule.MOPNR:
-        return -float(instance.n_machines - k)
-    if rule is DispatchRule.FDD:
-        return float(row[: k + 1].sum())
-    if rule is DispatchRule.FDD_over_MWKR:
-        return float(row[: k + 1].sum()) / float(row[k:].sum())
-    if rule is DispatchRule.RND:
-        rng = state.rng if state.rng is not None else np.random.default_rng()
-        return float(rng.random())
-    raise ValueError(f"unhandled rule {rule}")
 
 
 def dispatch(instance: Instance, rule: DispatchRule,
@@ -117,100 +71,80 @@ def stochastic_dispatch(instance: Instance, rule: DispatchRule,
 def _run(instance: Instance, rule: DispatchRule,
          rng: np.random.Generator, noise: float) -> Solution:
     J, M = instance.n_jobs, instance.n_machines
-    mach = instance.machine
-    jrange = np.arange(J)
-    mrange = np.arange(M)
+    mach = instance.machine.tolist()
 
-    # single-precision scaled durations drive scoring and event order
+    # single-precision scaled durations drive scoring and event order; an
+    # instance whose durations are all zero is scaled by 1
     dur32 = instance.proc.astype(np.single)
-    dur_n = dur32 / float(dur32.max())
+    dur_n = dur32 / float(dur32.max() or 1.0)
     cum_n = dur_n.cumsum(-1)
     rem_n = np.fliplr(np.fliplr(dur_n).cumsum(-1))
+    # score of each job's k-th op while it waits, lower is dispatched first;
+    # a job whose durations are all zero scores 0/0 = nan under FDD/MWKR
+    with np.errstate(divide="ignore", invalid="ignore"):
+        table = {
+            DispatchRule.SPT: dur_n,
+            DispatchRule.MWKR: -rem_n,
+            DispatchRule.MOPNR: np.broadcast_to(
+                -(M - np.arange(M)).astype(np.single), (J, M)),
+            DispatchRule.FDD: cum_n,
+            DispatchRule.FDD_over_MWKR: cum_n / rem_n,
+        }.get(rule)
+    table = None if table is None else table.tolist()
+    dur = dur_n.tolist()
 
-    # countdown[i, j]: remaining run time of j on i if running, <= 0 once
-    # waiting in i's queue (more negative = queued earlier), _FAR otherwise
-    countdown = np.ones((M, J), dtype=int) * _FAR
-    countdown[mach[:, 0], jrange] = 0
-    running_job = -np.ones(M, dtype=int)
-    n_sched = np.zeros(M, dtype=int)
-    mch_open = np.ones(M, dtype=bool)
+    # Event times are float64 countdowns, updated entry by entry so that
+    # simultaneous completions resolve reproducibly. run_left[i] is the
+    # remaining run time of run_job[i] on machine i (-1 when idle, and then
+    # run_left[i] <= 0); wait[j] counts down from 0 while job j waits in a
+    # queue (more negative = queued earlier; FIFO's score) and is not read
+    # otherwise. Queues list jobs in ascending order.
+    queue = [[] for _ in range(M)]
+    for j in range(J):
+        queue[mach[j][0]].append(j)
+    wait = [0.0] * J
+    next_pos = [0] * J
+    run_job = [-1] * M
+    run_left = [0.0] * M
+    partial = [[] for _ in range(M)]
+    machines = range(M)
 
-    state = DispatchState(
-        job_ready_time=np.zeros(J, dtype=np.int64),
-        machine_ready_time=np.zeros(M, dtype=np.int64),
-        next_pos=np.zeros(J, dtype=np.int64),
-        partial=[[] for _ in range(M)],
-        rng=rng,
-    )
-
-    def select(i: int) -> int:
+    def select(cand: list) -> int:
         if rule is DispatchRule.FIFO:
-            # queued entries are the only finite ones on a free machine;
-            # the most negative countdown entered the queue first
-            cand = np.flatnonzero(countdown[i] < _FAR)
-            scores = countdown[i][cand]
+            scores = np.array([wait[j] for j in cand])
+        elif rule is DispatchRule.RND:
+            scores = rng.random(len(cand))
         else:
-            pos = np.minimum(state.next_pos, M - 1)
-            cand = np.flatnonzero(
-                (state.next_pos < M) & (mach[jrange, pos] == i)
-            )
-            p = state.next_pos[cand]
-            if rule is DispatchRule.SPT:
-                scores = dur_n[cand, p]
-            elif rule is DispatchRule.MWKR:
-                scores = -rem_n[cand, p]
-            elif rule is DispatchRule.MOPNR:
-                scores = -(M - p).astype(np.single)
-            elif rule is DispatchRule.FDD:
-                scores = cum_n[cand, p]
-            elif rule is DispatchRule.FDD_over_MWKR:
-                scores = cum_n[cand, p] / rem_n[cand, p]
-            else:
-                scores = rng.random(len(cand))
+            scores = np.array([table[j][next_pos[j]] for j in cand],
+                              dtype=np.single)
         if noise > 0.0 and len(cand) >= 3 and rng.random() < noise:
             top3 = np.argpartition(scores, 2)[:3]
-            return int(cand[rng.choice(top3)])
-        return int(cand[int(np.argmin(scores))])
+            return cand[rng.choice(top3)]
+        # argmin, unlike min(), returns the first nan
+        return cand[scores.argmin()]
 
-    total = J * M
-    done = 0
-    while done < total:
-        ready = mch_open & (countdown < _FAR).any(axis=1)
-        i = int(np.flatnonzero(ready)[0])
-        j = select(i)
-        k = int(state.next_pos[j])
-        start = max(int(state.job_ready_time[j]),
-                    int(state.machine_ready_time[i]))
-        finish = start + int(instance.proc[j, k])
-        state.partial[i].append(OpId(j, k))
-        state.machine_ready_time[i] = finish
-        running_job[i] = j
-        mch_open[i] = False
-        n_sched[i] += 1
-        countdown[i, j] = dur_n[j, k]
-        done += 1
-        if done == total:
-            break
-        while True:
-            ready = mch_open & (countdown < _FAR).any(axis=1)
-            if ready.any():
-                break
-            active = countdown[(0 < countdown) & (countdown < _FAR)]
-            step = active.min() if active.size else 0.0
-            mask = countdown < _FAR
-            countdown[mask] = countdown[mask] - step
-            fin = (running_job >= 0) & (countdown[mrange, running_job] <= 0)
-            for i2 in np.flatnonzero(fin):
-                j2 = int(running_job[i2])
-                running_job[i2] = -1
-                countdown[i2, j2] = _FAR
-                state.job_ready_time[j2] = state.machine_ready_time[i2]
-                state.next_pos[j2] += 1
-                if state.next_pos[j2] < M:
-                    countdown[mach[j2, state.next_pos[j2]], j2] = 0
-            mch_open = (running_job < 0) & (n_sched < J)
-
-    # flush: bump next_pos past the very last operation for state sanity
-    last = np.flatnonzero(state.next_pos < M)
-    state.next_pos[last] = M
-    return Solution([list(seq) for seq in state.partial])
+    for _ in range(J * M):
+        # the lowest-index idle machine with a job waiting
+        i = next((i for i in machines if run_job[i] < 0 and queue[i]), -1)
+        while i < 0:
+            # advance to the next completion, then release the finished
+            # jobs in machine order
+            step = min([t for t in run_left if t > 0], default=0.0)
+            run_left = [t - step for t in run_left]
+            wait = [t - step for t in wait]
+            for m in machines:
+                j = run_job[m]
+                if j >= 0 and run_left[m] <= 0:
+                    run_job[m] = -1
+                    next_pos[j] += 1
+                    if next_pos[j] < M:
+                        bisect.insort(queue[mach[j][next_pos[j]]], j)
+                        wait[j] = 0.0
+            i = next((i for i in machines if run_job[i] < 0 and queue[i]), -1)
+        j = select(queue[i])
+        queue[i].remove(j)
+        k = next_pos[j]
+        partial[i].append(OpId(j, k))
+        run_job[i] = j
+        run_left[i] = dur[j][k]
+    return Solution(partial)

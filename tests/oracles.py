@@ -12,8 +12,8 @@ import numpy as np
 from jobshopls.core import Instance, OpId, Solution
 
 
-def simulate_makespan(instance: Instance, solution: Solution):
-    """Makespan by direct schedule construction.
+def simulate_starts(instance: Instance, solution: Solution):
+    """Start times by direct schedule construction, as a (J, M) array.
 
     Repeatedly starts any operation whose job predecessor is finished and
     which is next in its machine's processing order; its start time is the
@@ -21,6 +21,7 @@ def simulate_makespan(instance: Instance, solution: Solution):
     (the machine orders conflict with the job routes).
     """
     J, M = instance.n_jobs, instance.n_machines
+    start = np.zeros((J, M), dtype=np.int64)
     job_next = [0] * J
     mach_next = [0] * M
     job_free = [0] * J
@@ -33,8 +34,8 @@ def simulate_makespan(instance: Instance, solution: Solution):
                 op = solution.machine_seq[k][mach_next[k]]
                 if op.pos != job_next[op.job]:
                     break
-                start = max(job_free[op.job], mach_free[k])
-                end = start + int(instance.proc[op.job, op.pos])
+                start[op.job, op.pos] = max(job_free[op.job], mach_free[k])
+                end = int(start[op.job, op.pos] + instance.proc[op.job, op.pos])
                 job_free[op.job] = end
                 mach_free[k] = end
                 job_next[op.job] += 1
@@ -43,7 +44,33 @@ def simulate_makespan(instance: Instance, solution: Solution):
                 progressed = True
         if not progressed:
             return None
-    return max(mach_free)
+    return start
+
+
+def simulate_makespan(instance: Instance, solution: Solution):
+    """Makespan by direct schedule construction, or None on deadlock."""
+    start = simulate_starts(instance, solution)
+    if start is None:
+        return None
+    return int((start + instance.proc).max(initial=0))
+
+
+def simulate_heads_tails(instance: Instance, solution: Solution):
+    """Heads and tails as flat-id arrays of length J * M, or None on deadlock.
+
+    Heads are the simulated start times. Tails are the start times in the
+    mirrored problem, where every job route and every machine order runs
+    backwards: the longest path from an op to the end, excluding the op.
+    """
+    J, M = instance.n_jobs, instance.n_machines
+    mirror = Instance(J, M, instance.proc[:, ::-1], instance.machine[:, ::-1])
+    mirrored = Solution([[OpId(op.job, M - 1 - op.pos) for op in reversed(seq)]
+                         for seq in solution.machine_seq])
+    head = simulate_starts(instance, solution)
+    tail = simulate_starts(mirror, mirrored)
+    if head is None or tail is None:
+        return None
+    return head.reshape(-1), tail[:, ::-1].reshape(-1)
 
 
 def brute_force_optimum(instance: Instance):

@@ -1,13 +1,14 @@
 """Disjunctive-graph construction, heads/tails, critical structure."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jobshopls import build_graph, critical_blocks, critical_path, generate_instance, validate
 from jobshopls.core import (CyclicSolutionError, Instance, MalformedSolutionError,
                             OpId, Solution)
 from jobshopls.dispatch import DispatchRule, dispatch
 
-from oracles import simulate_makespan
+from oracles import simulate_heads_tails, simulate_makespan
 
 
 def tiny_instance():
@@ -31,30 +32,10 @@ def test_heads_are_start_times_and_tails_complete_paths():
     sol = dispatch(inst, DispatchRule.SPT)
     g = build_graph(inst, sol)
     n = inst.n_ops
-    # start times from the independent simulator:
-    # rebuild them with the same machine orders
-    J, M = inst.n_jobs, inst.n_machines
-    start = np.zeros(n)
-    job_free = np.zeros(J)
-    mach_free = np.zeros(M)
-    done = 0
-    job_next = [0] * J
-    mach_next = [0] * M
-    while done < n:
-        for k in range(M):
-            while mach_next[k] < len(sol.machine_seq[k]):
-                op = sol.machine_seq[k][mach_next[k]]
-                if op.pos != job_next[op.job]:
-                    break
-                s = max(job_free[op.job], mach_free[k])
-                start[op.job * M + op.pos] = s
-                e = s + inst.proc[op.job, op.pos]
-                job_free[op.job] = e
-                mach_free[k] = e
-                job_next[op.job] += 1
-                mach_next[k] += 1
-                done += 1
+    # start times and tails from the independent simulator
+    start, tail = simulate_heads_tails(inst, sol)
     assert np.array_equal(g.head[:n], start)
+    assert np.array_equal(g.tail[:n], tail)
     # h + p + q <= C_max everywhere, equality exactly on critical ops
     slack = g.head[:n] + inst.proc.reshape(-1) + g.tail[:n]
     assert np.all(slack <= g.makespan)
@@ -164,3 +145,27 @@ def test_graph_matches_simulation_on_rectangular_shapes():
         inst = generate_instance(j, m, seed=40 + i)
         sol = dispatch(inst, DispatchRule.RND, seed=i)
         assert build_graph(inst, sol).makespan == simulate_makespan(inst, sol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), j=st.integers(1, 6), m=st.integers(1, 6))
+def test_heads_and_tails_match_the_simulator(data, j, m):
+    # random machine orders are often cyclic; build_graph must raise exactly
+    # when the simulator deadlocks and agree with it everywhere else
+    proc = np.array(data.draw(st.lists(st.integers(0, 9), min_size=j * m,
+                                       max_size=j * m))).reshape(j, m)
+    machine = np.array([data.draw(st.permutations(range(m))) for _ in range(j)])
+    inst = Instance(j, m, proc, machine)
+    routed = [[OpId(a, k) for a in range(j) for k in range(m)
+               if machine[a, k] == i] for i in range(m)]
+    sol = Solution([data.draw(st.permutations(ops)) for ops in routed])
+    want = simulate_heads_tails(inst, sol)
+    if want is None:
+        with pytest.raises(CyclicSolutionError):
+            build_graph(inst, sol)
+        return
+    g = build_graph(inst, sol)
+    n = inst.n_ops
+    assert np.array_equal(g.head[:n], want[0])
+    assert np.array_equal(g.tail[:n], want[1])
+    assert g.makespan == simulate_makespan(inst, sol)

@@ -1,4 +1,9 @@
 """Priority-rule construction: validity, determinism, published values."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -85,3 +90,30 @@ def test_stochastic_dispatch_varies_and_stays_valid():
         assert validate(inst, sol) == []
         costs.add(build_graph(inst, sol).makespan)
     assert len(costs) > 1
+
+
+ALL_ZERO_SCRIPT = """
+import numpy as np
+from jobshopls import Instance, build_graph, validate
+from jobshopls.dispatch import DispatchRule, dispatch, stochastic_dispatch
+for j, m in ((2, 1), (3, 3)):
+    machine = np.array([np.roll(np.arange(m), a) for a in range(j)])
+    inst = Instance(j, m, np.zeros((j, m), dtype=np.int64), machine)
+    for rule in DispatchRule:
+        for sol in (dispatch(inst, rule, seed=0),
+                    stochastic_dispatch(inst, rule, noise=1.0, seed=0)):
+            assert validate(inst, sol) == [], (j, m, rule)
+            assert build_graph(inst, sol).makespan == 0, (j, m, rule)
+"""
+
+
+def test_all_zero_durations_give_makespan_zero():
+    # in a child process, so that a dispatcher that never finishes fails on
+    # the timeout instead of hanging the suite
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", ALL_ZERO_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

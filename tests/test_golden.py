@@ -1,0 +1,119 @@
+"""Golden fingerprints: seeded outputs hash to values recorded before a refactor.
+
+A change meant to keep behaviour must leave every digest here unchanged. A
+change of behaviour on purpose re-records them (run this file as a script to
+print the current digests) and says so in CHANGES.md.
+"""
+import hashlib
+import json
+
+import pytest
+
+from jobshopls import builtin_instance, generate_instance
+from jobshopls.dispatch import DispatchRule, dispatch, stochastic_dispatch
+from jobshopls.env import ActionSpace, rollout
+from jobshopls.metaheuristics import ControllerKind, run
+
+DISPATCH_INSTANCES = {
+    "ta01": lambda: builtin_instance("ta01"),
+    "ta11": lambda: builtin_instance("ta11"),
+    "ta51": lambda: builtin_instance("ta51"),
+    "gen1x4": lambda: generate_instance(1, 4, seed=3),
+    "gen4x1": lambda: generate_instance(4, 1, seed=3),
+    "gen6x6": lambda: generate_instance(6, 6, seed=3),
+}
+SEEDS = (0, 1, 2)
+# an ANP action cycle that mixes accepts, rejects, every operator and the
+# perturbation (4 and 9)
+ANP_CYCLE = (5, 6, 7, 8, 0, 5, 9, 1, 6, 4)
+
+DIGESTS = {
+    "dispatch/ta01":
+        "bdc2314e892634d568221506a38b2e8458e46f3acbbc941152e252ac8f52b0a4",
+    "dispatch/ta11":
+        "366111c083234119c9e633aa45c1e765643bdfc842927ad6b39d2b08380d6ddb",
+    "dispatch/ta51":
+        "170394b68bca1af5b3a1ee3562df611a00ea738a09c73764ffd626653c2fe8aa",
+    "dispatch/gen1x4":
+        "141c8d371e0b2cd929076afae6e14aa6d8bcde121d6ca072061d1024f85f2cba",
+    "dispatch/gen4x1":
+        "29b9cf4cf4fc6097044369bce86a6749f3830c67e84bbc44fb649a3cfc6a6a6b",
+    "dispatch/gen6x6":
+        "fe5698c14910a7674500d2de982965074438cc14e242900e4a5a54fc52522989",
+    "controller/sa":
+        "38df8352b3cf935d81e7c95cae7417f41fd12fe16aa99f3d092c1dde35fa8da8",
+    "controller/sa_restart":
+        "2ab2364b34be00dca80b981d7c1dbfd3e19449a6d055343d5768cd6f42e757c4",
+    "controller/ils":
+        "f3f93ae483da30f0256559a06e50f9349e4bfbd60dde766ee468bc74239f9660",
+    "controller/ils_sa":
+        "dd19f50411b327b71a36195aa03d5b9de8bfcdfc7eebfc21f64fbe515f70fa40",
+    "controller/vns":
+        "f84d6227b630cc17ed41aa59030100ab37aa64da2e4a5c11e280532454504705",
+    "rollout/anp/ta01":
+        "589939fdba7ff9682696fa684106b692f1455fd5ae8a2b8fcab99d58ada5e34f",
+}
+
+
+def _digest(value) -> str:
+    text = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def dispatch_fingerprint(name: str) -> str:
+    """Every rule at noise 0, then at noise 0.5 and 1.0 with seeds 0-2."""
+    inst = DISPATCH_INSTANCES[name]()
+    out = []
+    for rule in DispatchRule:
+        out.append([rule.value, 0.0, 0, dispatch(inst, rule, seed=0).machine_seq])
+        for noise in (0.5, 1.0):
+            for s in SEEDS:
+                sol = stochastic_dispatch(inst, rule, noise=noise, seed=s)
+                out.append([rule.value, noise, s, sol.machine_seq])
+    return _digest(out)
+
+
+def controller_fingerprint(kind: str) -> str:
+    """Best cost and trace on ta01-ta03 with seeds 0-2."""
+    out = []
+    for name in ("ta01", "ta02", "ta03"):
+        inst = builtin_instance(name)
+        for s in SEEDS:
+            res = run(ControllerKind(kind), inst, seed=s)
+            out.append([name, s, res.best_cost, res.trace])
+    return _digest(out)
+
+
+def rollout_fingerprint() -> str:
+    """One 100-step ANP rollout on ta01: actions, costs, bests and rewards."""
+    actions = [ANP_CYCLE[t % len(ANP_CYCLE)] for t in range(100)]
+    rows = rollout(builtin_instance("ta01"), actions, ActionSpace.ANP, seed=0)
+    return _digest(rows)
+
+
+def current_digests() -> dict:
+    out = {f"dispatch/{name}": dispatch_fingerprint(name)
+           for name in DISPATCH_INSTANCES}
+    out.update({f"controller/{kind.value}": controller_fingerprint(kind.value)
+                for kind in ControllerKind})
+    out["rollout/anp/ta01"] = rollout_fingerprint()
+    return out
+
+
+@pytest.mark.parametrize("name", list(DISPATCH_INSTANCES))
+def test_dispatch_fingerprint(name):
+    assert dispatch_fingerprint(name) == DIGESTS[f"dispatch/{name}"]
+
+
+@pytest.mark.parametrize("kind", [k.value for k in ControllerKind])
+def test_controller_fingerprint(kind):
+    assert controller_fingerprint(kind) == DIGESTS[f"controller/{kind}"]
+
+
+def test_anp_rollout_fingerprint():
+    assert rollout_fingerprint() == DIGESTS["rollout/anp/ta01"]
+
+
+if __name__ == "__main__":
+    for key, value in current_digests().items():
+        print(f'    "{key}": "{value}",')
