@@ -4,6 +4,7 @@ A change meant to keep behaviour must leave every digest here unchanged. A
 change of behaviour on purpose re-records them (run this file as a script to
 print the current digests) and says so in CHANGES.md.
 """
+import functools
 import hashlib
 import json
 
@@ -13,6 +14,8 @@ from jobshopls import builtin_instance, generate_instance
 from jobshopls.dispatch import DispatchRule, dispatch, stochastic_dispatch
 from jobshopls.env import ActionSpace, rollout
 from jobshopls.metaheuristics import ControllerKind, run
+from jobshopls.nn import GNNConfig, QNetwork
+from jobshopls.training import evaluate
 
 DISPATCH_INSTANCES = {
     "ta01": lambda: builtin_instance("ta01"),
@@ -26,6 +29,19 @@ SEEDS = (0, 1, 2)
 # an ANP action cycle that mixes accepts, rejects, every operator and the
 # perturbation (4 and 9)
 ANP_CYCLE = (5, 6, 7, 8, 0, 5, 9, 1, 6, 4)
+# runs of the same reject action with the same operator, so a step can meet
+# the graph and operator of the step before it
+ROLLOUT_ACTIONS = {
+    ActionSpace.A: (0, 0, 0, 1) * 25,
+    ActionSpace.AN: (1, 1, 5, 2, 2, 6, 3, 3, 7, 0) * 10,
+}
+ROLLOUT_INSTANCES = {
+    "ta01": lambda: builtin_instance("ta01"),
+    "gen6x6": lambda: generate_instance(6, 6, seed=3),
+}
+# the acceptance check's controller grid
+GRID_KINDS = ("sa", "ils", "vns")
+GRID_INSTANCES = tuple(f"ta{i:02d}" for i in range(1, 11))
 
 DIGESTS = {
     "dispatch/ta01":
@@ -50,8 +66,26 @@ DIGESTS = {
         "dd19f50411b327b71a36195aa03d5b9de8bfcdfc7eebfc21f64fbe515f70fa40",
     "controller/vns":
         "f84d6227b630cc17ed41aa59030100ab37aa64da2e4a5c11e280532454504705",
+    "grid/sa":
+        "8e3475e4f7fa1e6c94c9d179c783bfbc24c739a2cf0a09657ade7b956ea6dc02",
+    "grid/ils":
+        "b365409c8e0c2e43050181f7e07379626a8e8bfad3bc310b2d0d53984ad6ac97",
+    "grid/vns":
+        "d9e9c11914baec9f1795715266d10d3d492bac7a4f566ae4d0172ed949c420e1",
     "rollout/anp/ta01":
         "589939fdba7ff9682696fa684106b692f1455fd5ae8a2b8fcab99d58ada5e34f",
+    "rollout/a/ta01":
+        "32c3d931f15a45917d26e86f025cb4fbcaac0207d9127c0a01fa40bdf13bd334",
+    "rollout/a/gen6x6":
+        "17076b4dfe9bce34d119b7a989968a44c7a0c7bd7f99cc7d6198d012a9f9e625",
+    "rollout/an/ta01":
+        "b6da16155b002f96a5d254cfe516cfe5d1d9e945f01d3e0f2846a925aa571974",
+    "rollout/an/gen6x6":
+        "241b52e60c0deb755320734c0ff5bc73e11ffae309cf7e1218057eb7b5cae70f",
+    "evaluate/a":
+        "8b7e41c1bc9c50d261c226cb199f748618da01ea957e2e3f75d0859b5d768893",
+    "evaluate/anp":
+        "84b8a4fda1224486d874d9dd263c5f51d1684da695647410316b128686e728a0",
 }
 
 
@@ -73,15 +107,22 @@ def dispatch_fingerprint(name: str) -> str:
     return _digest(out)
 
 
+@functools.lru_cache(maxsize=None)
+def _solve(kind: str, name: str, seed: int) -> list:
+    res = run(ControllerKind(kind), builtin_instance(name), seed=seed)
+    return [name, seed, res.best_cost, res.trace]
+
+
 def controller_fingerprint(kind: str) -> str:
     """Best cost and trace on ta01-ta03 with seeds 0-2."""
-    out = []
-    for name in ("ta01", "ta02", "ta03"):
-        inst = builtin_instance(name)
-        for s in SEEDS:
-            res = run(ControllerKind(kind), inst, seed=s)
-            out.append([name, s, res.best_cost, res.trace])
-    return _digest(out)
+    return _digest([_solve(kind, name, s)
+                    for name in ("ta01", "ta02", "ta03") for s in SEEDS])
+
+
+def grid_fingerprint(kind: str) -> str:
+    """Best cost and trace on ta01-ta10 with seeds 0-2."""
+    return _digest([_solve(kind, name, s)
+                    for name in GRID_INSTANCES for s in SEEDS])
 
 
 def rollout_fingerprint() -> str:
@@ -91,12 +132,32 @@ def rollout_fingerprint() -> str:
     return _digest(rows)
 
 
+def space_rollout_fingerprint(space: ActionSpace, name: str) -> str:
+    """One 100-step rollout of the space's fixed action list."""
+    rows = rollout(ROLLOUT_INSTANCES[name](), ROLLOUT_ACTIONS[space], space,
+                   seed=0)
+    return _digest(rows)
+
+
+def evaluate_fingerprint(space: ActionSpace) -> str:
+    """Greedy costs of an untrained desk-scale net on four random 6x6."""
+    net = QNetwork(space.n_actions, GNNConfig.desk_scale(), seed=2)
+    instances = [generate_instance(6, 6, seed=k) for k in range(4)]
+    return _digest(evaluate(net, instances, space, t_max=10).tolist())
+
+
 def current_digests() -> dict:
     out = {f"dispatch/{name}": dispatch_fingerprint(name)
            for name in DISPATCH_INSTANCES}
     out.update({f"controller/{kind.value}": controller_fingerprint(kind.value)
                 for kind in ControllerKind})
+    out.update({f"grid/{kind}": grid_fingerprint(kind) for kind in GRID_KINDS})
     out["rollout/anp/ta01"] = rollout_fingerprint()
+    out.update({f"rollout/{space.value}/{name}":
+                space_rollout_fingerprint(space, name)
+                for space in ROLLOUT_ACTIONS for name in ROLLOUT_INSTANCES})
+    out.update({f"evaluate/{space.value}": evaluate_fingerprint(space)
+                for space in (ActionSpace.A, ActionSpace.ANP)})
     return out
 
 
@@ -110,8 +171,26 @@ def test_controller_fingerprint(kind):
     assert controller_fingerprint(kind) == DIGESTS[f"controller/{kind}"]
 
 
+@pytest.mark.parametrize("kind", GRID_KINDS)
+def test_grid_fingerprint(kind):
+    assert grid_fingerprint(kind) == DIGESTS[f"grid/{kind}"]
+
+
 def test_anp_rollout_fingerprint():
     assert rollout_fingerprint() == DIGESTS["rollout/anp/ta01"]
+
+
+@pytest.mark.parametrize("name", list(ROLLOUT_INSTANCES))
+@pytest.mark.parametrize("space", list(ROLLOUT_ACTIONS), ids=lambda s: s.value)
+def test_space_rollout_fingerprint(space, name):
+    assert (space_rollout_fingerprint(space, name)
+            == DIGESTS[f"rollout/{space.value}/{name}"])
+
+
+@pytest.mark.parametrize("space", [ActionSpace.A, ActionSpace.ANP],
+                         ids=lambda s: s.value)
+def test_evaluate_fingerprint(space):
+    assert evaluate_fingerprint(space) == DIGESTS[f"evaluate/{space.value}"]
 
 
 if __name__ == "__main__":
