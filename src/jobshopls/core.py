@@ -10,7 +10,8 @@ processing time keep the recurrences uniform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -74,6 +75,19 @@ class Instance:
     def max_proc(self) -> int:
         return int(self.proc.max()) if self.proc.size else 0
 
+    @cached_property
+    def flat_ops(self) -> tuple[tuple[int, ...], ...]:
+        """Processing time, job predecessor, job successor and machine of each
+        flat op id (job * n_machines + pos) as Python ints. The first three
+        also cover the graph's virtual source (id n_ops) and sink (n_ops + 1).
+        """
+        M, n = self.n_machines, self.n_ops
+        src, sink = n, n + 1
+        return (tuple(self.proc.reshape(-1).tolist()) + (0, 0),
+                tuple(v - 1 if v % M else src for v in range(n)) + (src, src),
+                tuple(v + 1 if (v + 1) % M else sink for v in range(n)) + (sink, sink),
+                tuple(self.machine.reshape(-1).tolist()))
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Instance):
             return NotImplemented
@@ -131,54 +145,55 @@ class SearchGraph:
 
     The search state: treated as immutable once built, and applying a move
     builds a fresh graph. ``mach_order`` is the solution itself and is
-    read-only. Arrays are indexed by flat op id (job * n_machines + pos),
-    with two extra virtual slots for the source (id n_ops) and sink
-    (id n_ops + 1).
+    read-only. The per-op lists are indexed by flat op id
+    (job * n_machines + pos), with two extra virtual slots for the source
+    (id n_ops) and sink (id n_ops + 1); the scalar walkers read them as
+    Python ints, and the numpy views are derived on first use.
     """
 
     instance: Instance
-    head: np.ndarray          # earliest start times
-    tail: np.ndarray          # longest path to the sink, excluding own proc
     makespan: int
-    mach_pred: np.ndarray
-    mach_succ: np.ndarray
-    job_pred: np.ndarray
-    job_succ: np.ndarray
-    pos_on_machine: np.ndarray
     mach_order: np.ndarray    # (M, J) flat op ids in machine-sequence order
-    _critical: np.ndarray = field(default=None, repr=False)
-    _p_ext: np.ndarray = field(default=None, repr=False)
+    h: list                   # heads: earliest start times
+    q: list                   # tails: longest path to the sink, excluding own proc
+    p: tuple                  # processing times, zero for the virtual slots
+    job_pred: tuple
+    job_succ: tuple
+    mach_pred: list
+    mach_succ: list
 
     def solution(self) -> Solution:
         """The machine orders as OpId lists."""
         M = self.instance.n_machines
-        return Solution([[OpId(*divmod(v, M)) for v in row]
-                         for row in self.mach_order.tolist()])
+        return Solution([[OpId(*divmod(v, M)) for v in row] for row in self.rows])
 
-    @property
-    def source(self) -> int:
-        return self.instance.n_ops
+    @cached_property
+    def rows(self) -> list[list[int]]:
+        """``mach_order`` as Python lists."""
+        return self.mach_order.tolist()
 
-    @property
-    def sink(self) -> int:
-        return self.instance.n_ops + 1
+    @cached_property
+    def head(self) -> np.ndarray:
+        return np.array(self.h, dtype=np.int64)
 
-    def proc_ext(self) -> np.ndarray:
-        """Processing times indexed by flat id, zero for the virtual slots."""
-        if self._p_ext is None:
-            p = np.zeros(self.instance.n_ops + 2, dtype=np.int64)
-            p[: self.instance.n_ops] = self.instance.proc.reshape(-1)
-            self._p_ext = p
-        return self._p_ext
+    @cached_property
+    def tail(self) -> np.ndarray:
+        return np.array(self.q, dtype=np.int64)
 
-    @property
+    @cached_property
+    def pos_on_machine(self) -> np.ndarray:
+        """Index of each op within its machine's sequence."""
+        J, M = self.instance.n_jobs, self.instance.n_machines
+        pos = np.empty(self.instance.n_ops, dtype=np.int64)
+        pos[self.mach_order.reshape(-1)] = np.tile(np.arange(J), M)
+        return pos
+
+    @cached_property
     def critical_mask(self) -> np.ndarray:
         """Boolean mask over flat op ids: h + p + q == makespan."""
-        if self._critical is None:
-            p = self.instance.proc.reshape(-1)
-            n = self.instance.n_ops
-            self._critical = self.head[:n] + p + self.tail[:n] == self.makespan
-        return self._critical
+        n = self.instance.n_ops
+        p = self.instance.proc.reshape(-1)
+        return self.head[:n] + p + self.tail[:n] == self.makespan
 
 
 def _checked_order(instance: Instance, solution) -> np.ndarray:
@@ -219,46 +234,35 @@ def build_graph(instance: Instance, solution) -> SearchGraph:
 
     ``solution`` is a Solution or an (M, J) array of flat op ids.
     """
-    J, M = instance.n_jobs, instance.n_machines
     n = instance.n_ops
     source, sink = n, n + 1
     seqs = _checked_order(instance, solution)
-    p = np.zeros(n + 2, dtype=np.int64)
-    p[:n] = instance.proc.reshape(-1)
-
-    job_pred = np.full(n + 2, source, dtype=np.int64)
-    job_succ = np.full(n + 2, sink, dtype=np.int64)
-    ids = np.arange(n).reshape(J, M)
-    job_pred[ids[:, 1:].reshape(-1)] = ids[:, :-1].reshape(-1)
-    job_succ[ids[:, :-1].reshape(-1)] = ids[:, 1:].reshape(-1)
-
+    pl, jp, js, _ = instance.flat_ops
     mach_pred = np.full(n + 2, source, dtype=np.int64)
     mach_succ = np.full(n + 2, sink, dtype=np.int64)
     mach_pred[seqs[:, 1:].reshape(-1)] = seqs[:, :-1].reshape(-1)
     mach_succ[seqs[:, :-1].reshape(-1)] = seqs[:, 1:].reshape(-1)
-
-    pos_on_machine = np.zeros(n, dtype=np.int64)
-    pos_on_machine[seqs.reshape(-1)] = np.tile(np.arange(J), M)
+    mp, ms = mach_pred.tolist(), mach_succ.tolist()
 
     # Both longest-path passes run on Python ints: indexing lists is several
     # times faster than indexing numpy arrays one scalar at a time.
     # end[v] = head[v] + p[v] and out[v] = tail[v] + p[v]; the virtual slots
     # stay 0.
-    pl, jp, mp, js, ms = (a.tolist() for a in
-                          (p, job_pred, mach_pred, job_succ, mach_succ))
     # Kahn's algorithm over the real ops: an op is queued once both of its
     # predecessors are done; failure to drain means a cycle.
     done = [False] * (n + 2)
     done[source] = True
     queue = [v for v in range(n) if jp[v] == source and mp[v] == source]
     order = []
-    end = [0] * (n + 2)
+    head, end = [0] * (n + 2), [0] * (n + 2)
     while queue:
         v = queue.pop()
         order.append(v)
         done[v] = True
         a, b = end[jp[v]], end[mp[v]]
-        end[v] = (a if a > b else b) + pl[v]
+        a = a if a > b else b
+        head[v] = a
+        end[v] = a + pl[v]
         u = js[v]
         if u < n and done[mp[u]]:
             queue.append(u)
@@ -268,22 +272,24 @@ def build_graph(instance: Instance, solution) -> SearchGraph:
     if len(order) != n:
         raise CyclicSolutionError("machine sequences conflict with job routes")
 
-    out = [0] * (n + 2)
+    tail, out = [0] * (n + 2), [0] * (n + 2)
     for v in reversed(order):
         a, b = out[js[v]], out[ms[v]]
-        out[v] = (a if a > b else b) + pl[v]
+        a = a if a > b else b
+        tail[v] = a
+        out[v] = a + pl[v]
 
     return SearchGraph(
         instance=instance,
-        head=np.array(end, dtype=np.int64) - p,
-        tail=np.array(out, dtype=np.int64) - p,
         makespan=max(end[:n], default=0),
-        mach_pred=mach_pred,
-        mach_succ=mach_succ,
-        job_pred=job_pred,
-        job_succ=job_succ,
-        pos_on_machine=pos_on_machine,
         mach_order=seqs,
+        h=head,
+        q=tail,
+        p=pl,
+        job_pred=jp,
+        job_succ=js,
+        mach_pred=mp,
+        mach_succ=ms,
     )
 
 
@@ -294,27 +300,22 @@ def critical_path(graph: SearchGraph) -> list[int]:
     head, breaking ties by machine predecessor over job predecessor and then
     by lower op id.  This pins a unique path even when several exist.
     """
-    inst = graph.instance
-    n = inst.n_ops
-    if n == 0:
+    n = graph.instance.n_ops
+    h, q, p, cmax = graph.h, graph.q, graph.p, graph.makespan
+    mp, jp = graph.mach_pred, graph.job_pred
+    # path ends have zero tail; max() keeps the first, i.e. lowest, id among
+    # the larger heads
+    ends = [v for v in range(n) if q[v] == 0 and h[v] + p[v] == cmax]
+    if not ends:
         return []
-    p = inst.proc.reshape(-1)
-    finish = graph.head[:n] + p
-    ends = np.flatnonzero(finish == graph.makespan)
-    # all path ends have zero tail; pick by larger head, then lower op id
-    v = int(min(ends, key=lambda i: (-int(graph.head[i]), int(i))))
+    v = max(ends, key=h.__getitem__)
     path = [v]
-    while graph.head[v] > 0:
-        best = None
-        for u, is_mach in ((int(graph.mach_pred[v]), True), (int(graph.job_pred[v]), False)):
-            if u >= n:
-                continue
-            if graph.head[u] + p[u] != graph.head[v]:
-                continue
-            key = (-int(graph.head[u]), 0 if is_mach else 1, u)
-            if best is None or key < best[0]:
-                best = (key, u)
-        v = best[1]
+    while h[v] > 0:
+        # a virtual predecessor (the source) never continues the path
+        u, w = mp[v], jp[v]
+        mach = u < n and h[u] + p[u] == h[v]
+        job = w < n and h[w] + p[w] == h[v]
+        v = u if mach and not (job and h[w] > h[u]) else w
         path.append(v)
     return path[::-1]
 
@@ -325,23 +326,13 @@ def critical_blocks(graph: SearchGraph) -> list[CriticalBlock]:
     Consecutive path ops belong to one block only when they are adjacent in
     that machine's processing order; blocks of length one are kept.
     """
-    blocks: list[CriticalBlock] = []
-    run: list[int] = []
+    mp, rows = graph.mach_pred, graph.rows
+    *_, machine = graph.instance.flat_ops
+    runs: list[list[int]] = []
     for v in critical_path(graph):
-        if run and run[-1] == int(graph.mach_pred[v]):
-            run.append(v)
+        if runs and runs[-1][-1] == mp[v]:
+            runs[-1].append(v)
         else:
-            if run:
-                blocks.append(_finish_block(graph, run))
-            run = [v]
-    if run:
-        blocks.append(_finish_block(graph, run))
-    return blocks
-
-
-def _finish_block(graph: SearchGraph, run: list[int]) -> CriticalBlock:
-    return CriticalBlock(
-        machine=int(graph.instance.machine.flat[run[0]]),
-        start=int(graph.pos_on_machine[run[0]]),
-        ops=tuple(run),
-    )
+            runs.append([v])
+    return [CriticalBlock(machine[r[0]], rows[machine[r[0]]].index(r[0]), tuple(r))
+            for r in runs]

@@ -71,6 +71,8 @@ def stochastic_dispatch(instance: Instance, rule: DispatchRule,
 def _run(instance: Instance, rule: DispatchRule,
          rng: np.random.Generator, noise: float) -> Solution:
     J, M = instance.n_jobs, instance.n_machines
+    if J == 0 or M == 0:   # no ops, and no duration to scale by
+        return Solution([[] for _ in range(M)])
     mach = instance.machine.tolist()
 
     # single-precision scaled durations drive scoring and event order; an

@@ -120,6 +120,9 @@ class EnvState:
     perturbation_strength: int
     rng: np.random.Generator
     nbr_stat: np.ndarray = field(repr=False, default=None)
+    # the graph whose ls_step under last_operator gave ``pending``; None
+    # after a perturbation
+    pending_from: Optional[SearchGraph] = field(repr=False, default=None)
 
     @property
     def done(self) -> bool:
@@ -207,6 +210,7 @@ def reset(instance: Instance, action_space: ActionSpace = ActionSpace.ANP,
         perturbation_strength=perturbation_strength,
         rng=rng,
         nbr_stat=_chain_neighbors(job_ids, instance.n_ops),
+        pending_from=graph,
     )
     return state, observe(state)
 
@@ -234,10 +238,15 @@ def step(state: EnvState, action: int
             state.graph, Perturbation(strength=state.perturbation_strength),
             state.rng)
         state.n_perturbations += 1
-        state.pending = None
+        state.pending = state.pending_from = None
     else:
-        out = ls_step(state.graph, operator)
-        state.pending = out if isinstance(out, Proposal) else None
+        # ls_step is a pure function of (graph, operator): keep the pending
+        # result while both are unchanged
+        if (state.pending_from is not state.graph
+                or operator is not state.last_operator):
+            out = ls_step(state.graph, operator)
+            state.pending = out if isinstance(out, Proposal) else None
+            state.pending_from = state.graph
         state.last_operator = operator
 
     committed = state.graph.makespan

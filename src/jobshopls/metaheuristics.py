@@ -222,8 +222,10 @@ def run(config: Union[ControllerConfig, ControllerKind], instance: Instance,
 
     ctrl = Controller(config, init_cost, iterations, rng, init_rule)
 
-    # first proposal, mirroring the environment's reset
-    out = ls_step(graph, Operator.CT)
+    # first proposal, mirroring the environment's reset; ls_step is a pure
+    # function of (graph, operator), so ``out`` is reused while both stay
+    stepped = (graph, Operator.CT)
+    out = ls_step(*stepped)
     pending = out if isinstance(out, Proposal) else None
 
     committed_cost = graph.makespan
@@ -268,8 +270,10 @@ def run(config: Union[ControllerConfig, ControllerKind], instance: Instance,
         if committed_cost < best_cost:
             best_cost, best_graph = committed_cost, graph
 
-        out = ls_step(graph, decision.next_operator)
-        pending = out if isinstance(out, Proposal) else None
+        if stepped[0] is not graph or stepped[1] is not decision.next_operator:
+            stepped = (graph, decision.next_operator)
+            out = ls_step(*stepped)
+            pending = out if isinstance(out, Proposal) else None
 
         trace.append(TraceRow(t, decision.next_operator.value,
                               decision.accept_last, committed_cost,

@@ -152,19 +152,17 @@ def _pair_estimate(graph: SearchGraph, m: int, i: int) -> int:
     Exact for a single swap: heads upstream and tails downstream of the
     pair cannot change, so this is the classical O(1) evaluation.
     """
-    ids = graph.mach_order[m]
-    u, v = int(ids[i]), int(ids[i + 1])
-    p = graph.proc_ext()
-    h, q = graph.head, graph.tail
-    jp_u, jp_v = int(graph.job_pred[u]), int(graph.job_pred[v])
-    js_u, js_v = int(graph.job_succ[u]), int(graph.job_succ[v])
-    mp_u, ms_v = int(graph.mach_pred[u]), int(graph.mach_succ[v])
+    u, v = graph.rows[m][i: i + 2]
+    h, q, p = graph.h, graph.q, graph.p
+    jp_u, jp_v = graph.job_pred[u], graph.job_pred[v]
+    js_u, js_v = graph.job_succ[u], graph.job_succ[v]
+    mp_u, ms_v = graph.mach_pred[u], graph.mach_succ[v]
 
     h_v = max(h[jp_v] + p[jp_v], h[mp_u] + p[mp_u])
     h_u = max(h[jp_u] + p[jp_u], h_v + p[v])
     q_u = max(q[js_u] + p[js_u], q[ms_v] + p[ms_v])
     q_v = max(q[js_v] + p[js_v], q_u + p[u])
-    return int(max(h_v + p[v] + q_v, h_u + p[u] + q_u))
+    return max(h_v + p[v] + q_v, h_u + p[u] + q_u)
 
 
 def _window_estimate(graph: SearchGraph, m: int, lo: int, hi: int,
@@ -180,18 +178,18 @@ def _window_estimate(graph: SearchGraph, m: int, lo: int, hi: int,
     contributions drop to zero, which only loosens the bound downward.
     Tails mirror the same guard.
     """
-    ids = graph.mach_order[m]
-    p = graph.proc_ext()
-    h, q = graph.head, graph.tail
-    before = int(graph.mach_pred[int(ids[lo])])
-    after = int(graph.mach_succ[int(ids[hi])])
-    h_min = int(h[int(ids[lo])])
-    q_min = int(q[int(ids[hi])])
+    row = graph.rows[m]
+    h, q, p = graph.h, graph.q, graph.p
+    job_pred, job_succ = graph.job_pred, graph.job_succ
+    before = graph.mach_pred[row[lo]]
+    after = graph.mach_succ[row[hi]]
+    h_min = h[row[lo]]
+    q_min = q[row[hi]]
 
     ready = h[before] + p[before]
     heads = []
     for w in window:
-        jp = int(graph.job_pred[w])
+        jp = job_pred[w]
         job_part = h[jp] + p[jp] if h[jp] < h_min else 0
         hw = max(job_part, ready)
         heads.append(hw)
@@ -200,43 +198,37 @@ def _window_estimate(graph: SearchGraph, m: int, lo: int, hi: int,
     tail_ready = q[after] + p[after]
     est = 0
     for w, hw in zip(reversed(window), reversed(heads)):
-        js = int(graph.job_succ[w])
+        js = job_succ[w]
         job_part = q[js] + p[js] if q[js] < q_min else 0
         qw = max(job_part, tail_ready)
         est = max(est, hw + p[w] + qw)
         tail_ready = qw + p[w]
-    return int(est)
-
-
-def _insertion_window(graph: SearchGraph, m: int, f: int, t: int):
-    ids = graph.mach_order[m]
-    lo, hi = (f, t) if f < t else (t, f)
-    window = list(ids[lo: hi + 1])
-    moved = window.pop(f - lo)
-    window.insert(t - lo, moved)
-    return lo, hi, window
+    return est
 
 
 def estimate_move(graph: SearchGraph, move: Move) -> MoveEval:
     """Lower-bound makespan estimate of a move in O(m)."""
     _check_positions(graph, move)
-    crit = graph.critical_mask
-    ids = graph.mach_order[move.machine]
-    if not (crit[int(ids[move.pos_a])] and crit[int(ids[move.pos_b])]):
-        raise InvalidMove("move no longer lies on a critical block")
+    row = graph.rows[move.machine]
+    h, q, p = graph.h, graph.q, graph.p
+    for v in (row[move.pos_a], row[move.pos_b]):
+        if h[v] + p[v] + q[v] != graph.makespan:
+            raise InvalidMove("move no longer lies on a critical block")
     if move.kind in (Operator.CT, Operator.CET):
         est = _pair_estimate(graph, move.machine, move.pos_a)
     elif move.kind is Operator.ECET:
         # both end pairs swap at once, so neither pair may trust the other
         # side's old heads/tails; evaluate the whole stretch as one window
         lo, hi = move.pos_a, move.pos_b + 1
-        window = list(graph.mach_order[move.machine][lo: hi + 1])
+        window = row[lo: hi + 1]
         window[0], window[1] = window[1], window[0]
         window[-2], window[-1] = window[-1], window[-2]
         est = _window_estimate(graph, move.machine, lo, hi, window)
     else:
-        lo, hi, window = _insertion_window(graph, move.machine,
-                                           move.pos_a, move.pos_b)
+        f, t = move.pos_a, move.pos_b
+        lo, hi = (f, t) if f < t else (t, f)
+        window = row[lo: hi + 1]
+        window.insert(t - lo, window.pop(f - lo))
         est = _window_estimate(graph, move.machine, lo, hi, window)
     return MoveEval(move=move, estimate=est)
 

@@ -1,7 +1,12 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here is written against the problem definition only: no graph, no
-heads/tails, no incremental updates. Slow and simple on purpose.
+The simulators and the brute force are written against the problem
+definition only: no graph, no heads/tails, no incremental updates. The
+walker references (critical path, blocks, move estimates) read a graph only
+through its numpy views (``head``, ``tail``, ``mach_order``,
+``pos_on_machine``) and index them one numpy scalar at a time, a second
+implementation next to the package's Python-int walkers. Slow and simple on
+purpose.
 """
 from __future__ import annotations
 
@@ -126,3 +131,133 @@ def dense_chain_adjacency(chains, n: int):
         for u, v in zip(chain[:-1], chain[1:]):
             a[u, v] = a[v, u] = 1.0
     return a
+
+
+def _neighbour_arrays(graph):
+    """Job and machine predecessors and successors as numpy arrays over the
+    graph's n + 2 slots (source n, sink n + 1), derived from its orders."""
+    inst = graph.instance
+    J, M, n = inst.n_jobs, inst.n_machines, inst.n_ops
+    seqs = graph.mach_order
+    job_pred = np.full(n + 2, n, dtype=np.int64)
+    job_succ = np.full(n + 2, n + 1, dtype=np.int64)
+    ids = np.arange(n).reshape(J, M)
+    job_pred[ids[:, 1:].reshape(-1)] = ids[:, :-1].reshape(-1)
+    job_succ[ids[:, :-1].reshape(-1)] = ids[:, 1:].reshape(-1)
+    mach_pred = np.full(n + 2, n, dtype=np.int64)
+    mach_succ = np.full(n + 2, n + 1, dtype=np.int64)
+    mach_pred[seqs[:, 1:].reshape(-1)] = seqs[:, :-1].reshape(-1)
+    mach_succ[seqs[:, :-1].reshape(-1)] = seqs[:, 1:].reshape(-1)
+    return job_pred, job_succ, mach_pred, mach_succ
+
+
+def reference_critical_path(graph) -> list:
+    """The critical path by numpy scalar indexing of the graph's head array.
+
+    Backward from the sink, the predecessor with the larger head is
+    followed; ties go to the machine predecessor, then to the lower op id.
+    """
+    inst = graph.instance
+    n = inst.n_ops
+    if n == 0:
+        return []
+    job_pred, _, mach_pred, _ = _neighbour_arrays(graph)
+    head = graph.head
+    p = inst.proc.reshape(-1)
+    ends = np.flatnonzero(head[:n] + p == graph.makespan)
+    v = int(min(ends, key=lambda i: (-int(head[i]), int(i))))
+    path = [v]
+    while head[v] > 0:
+        best = None
+        for u, is_mach in ((int(mach_pred[v]), True), (int(job_pred[v]), False)):
+            if u >= n or head[u] + p[u] != head[v]:
+                continue
+            key = (-int(head[u]), 0 if is_mach else 1, u)
+            if best is None or key < best[0]:
+                best = (key, u)
+        v = best[1]
+        path.append(v)
+    return path[::-1]
+
+
+def reference_critical_blocks(graph) -> list:
+    """(machine, start, ops) of each maximal same-machine run of the
+    reference critical path."""
+    _, _, mach_pred, _ = _neighbour_arrays(graph)
+    machine = graph.instance.machine.reshape(-1)
+    runs = []
+    for v in reference_critical_path(graph):
+        if runs and runs[-1][-1] == mach_pred[v]:
+            runs[-1].append(v)
+        else:
+            runs.append([v])
+    return [(int(machine[r[0]]), int(graph.pos_on_machine[r[0]]), tuple(r))
+            for r in runs]
+
+
+def _reference_pair(graph, nbrs, p, m, i):
+    job_pred, job_succ, mach_pred, mach_succ = nbrs
+    ids = graph.mach_order[m]
+    u, v = int(ids[i]), int(ids[i + 1])
+    h, q = graph.head, graph.tail
+    jp_u, jp_v = int(job_pred[u]), int(job_pred[v])
+    js_u, js_v = int(job_succ[u]), int(job_succ[v])
+    mp_u, ms_v = int(mach_pred[u]), int(mach_succ[v])
+    h_v = max(h[jp_v] + p[jp_v], h[mp_u] + p[mp_u])
+    h_u = max(h[jp_u] + p[jp_u], h_v + p[v])
+    q_u = max(q[js_u] + p[js_u], q[ms_v] + p[ms_v])
+    q_v = max(q[js_v] + p[js_v], q_u + p[u])
+    return int(max(h_v + p[v] + q_v, h_u + p[u] + q_u))
+
+
+def _reference_window(graph, nbrs, p, m, lo, hi, window):
+    job_pred, job_succ, mach_pred, mach_succ = nbrs
+    ids = graph.mach_order[m]
+    h, q = graph.head, graph.tail
+    before = int(mach_pred[int(ids[lo])])
+    after = int(mach_succ[int(ids[hi])])
+    h_min = int(h[int(ids[lo])])
+    q_min = int(q[int(ids[hi])])
+    ready = h[before] + p[before]
+    heads = []
+    for w in window:
+        jp = int(job_pred[w])
+        job_part = h[jp] + p[jp] if h[jp] < h_min else 0
+        hw = max(job_part, ready)
+        heads.append(hw)
+        ready = hw + p[w]
+    tail_ready = q[after] + p[after]
+    est = 0
+    for w, hw in zip(reversed(window), reversed(heads)):
+        js = int(job_succ[w])
+        job_part = q[js] + p[js] if q[js] < q_min else 0
+        qw = max(job_part, tail_ready)
+        est = max(est, hw + p[w] + qw)
+        tail_ready = qw + p[w]
+    return int(est)
+
+
+def reference_estimate(graph, move) -> int:
+    """A move's makespan estimate by numpy scalar indexing of the graph's
+    head and tail arrays: the O(1) pair formula for CT/CET swaps, the
+    guarded window walk for ECET and CEI."""
+    from jobshopls.neighborhood import Operator
+
+    n = graph.instance.n_ops
+    nbrs = _neighbour_arrays(graph)
+    p = np.zeros(n + 2, dtype=np.int64)
+    p[:n] = graph.instance.proc.reshape(-1)
+    m, a, b = move.machine, move.pos_a, move.pos_b
+    if move.kind in (Operator.CT, Operator.CET):
+        return _reference_pair(graph, nbrs, p, m, a)
+    window = [int(v) for v in graph.mach_order[m]]
+    if move.kind is Operator.ECET:
+        lo, hi = a, b + 1
+        window = window[lo: hi + 1]
+        window[0], window[1] = window[1], window[0]
+        window[-2], window[-1] = window[-1], window[-2]
+    else:
+        lo, hi = min(a, b), max(a, b)
+        window = window[lo: hi + 1]
+        window.insert(b - lo, window.pop(a - lo))
+    return _reference_window(graph, nbrs, p, m, lo, hi, window)

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jobshopls import build_graph, builtin_instance, generate_instance, validate
+from jobshopls import (Instance, build_graph, builtin_instance, generate_instance,
+                       validate)
 from jobshopls.dispatch import DispatchRule, dispatch, stochastic_dispatch
 
 DETERMINISTIC = [r for r in DispatchRule if r is not DispatchRule.RND]
@@ -117,3 +118,13 @@ def test_all_zero_durations_give_makespan_zero():
     proc = subprocess.run([sys.executable, "-c", ALL_ZERO_SCRIPT], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+@pytest.mark.parametrize("rule", list(DispatchRule))
+def test_instances_without_ops_dispatch_to_empty_orders(rule, shape):
+    inst = Instance(*shape, np.zeros(shape), np.zeros(shape))
+    for noise in (0.0, 1.0):
+        sol = stochastic_dispatch(inst, rule, noise=noise, seed=0)
+        assert validate(inst, sol) == []
+        assert build_graph(inst, sol).makespan == 0

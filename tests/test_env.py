@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from jobshopls import build_graph, generate_instance
+from jobshopls import build_graph, builtin_instance, env, generate_instance
 from jobshopls.dispatch import DispatchRule, dispatch
 from jobshopls.env import (ActionSpace, InvalidAction, Operator, observe,
                            read_trace, reset, rollout, step, write_trace)
@@ -155,3 +155,14 @@ def test_observation_uses_pending_graph():
     assert obs.scalars[0] == pytest.approx(pending_cost / state.init_cost)
     if pending_cost != committed:
         assert obs.scalars[0] != pytest.approx(committed / state.init_cost)
+
+
+def test_repeated_rejects_reuse_the_pending_proposal(record_ls_steps):
+    # rejecting keeps the graph and A always steps with CET, so three
+    # rejects in a row need one ls_step, not three
+    calls = record_ls_steps(env)
+    rows = rollout(builtin_instance("ta01"), (0, 0, 0, 1) * 25, ActionSpace.A,
+                   seed=0)
+    assert len(rows) == 100
+    assert not any(a[0] is b[0] and a[1] is b[1] for a, b in zip(calls, calls[1:]))
+    assert len(calls) < 100 + 1

@@ -1,9 +1,11 @@
 """Controller loop: SA, ILS, VNS behaviour, configs, reproducibility."""
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from jobshopls import build_graph, builtin_instance, generate_instance, validate
+from jobshopls import (Instance, build_graph, builtin_instance, generate_instance,
+                       metaheuristics, validate)
 from jobshopls.dispatch import DispatchRule, dispatch
 from jobshopls.metaheuristics import (ControllerConfig, ControllerKind,
                                       load_controller_config, run)
@@ -114,3 +116,25 @@ def test_explicit_config_object_is_honoured():
     cfg = ControllerConfig.for_kind(ControllerKind.ILS)
     assert run(cfg, inst, iterations=40, seed=0).best_cost == \
         run(ControllerKind.ILS, inst, iterations=40, seed=0).best_cost
+
+
+@pytest.mark.parametrize("kind", list(ControllerKind))
+def test_run_computes_each_ls_step_once(record_ls_steps, kind):
+    calls = record_ls_steps(metaheuristics)
+    for seed in (0, 1, 2):
+        calls.clear()
+        run(kind, builtin_instance("ta01"), iterations=100, seed=seed)
+        # the recorded graphs stay alive, so identity cannot match a recycled id
+        assert not any(a[0] is b[0] and a[1] is b[1]
+                       for a, b in zip(calls, calls[1:])), seed
+        if kind is ControllerKind.ILS:
+            # rejected non-improving proposals leave graph and operator as
+            # they were, so ILS reuses proposals
+            assert len(calls) < 100 + 1, seed
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+def test_controllers_solve_instances_without_ops(shape):
+    inst = Instance(*shape, np.zeros(shape), np.zeros(shape))
+    for kind in ControllerKind:
+        assert run(kind, inst, iterations=5, seed=0).best_cost == 0, kind

@@ -3,13 +3,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jobshopls import build_graph, critical_blocks, generate_instance, validate
-from jobshopls.dispatch import DispatchRule, dispatch
+from jobshopls import (Instance, build_graph, critical_blocks, critical_path,
+                       generate_instance, validate)
+from jobshopls.dispatch import DispatchRule, dispatch, stochastic_dispatch
 from jobshopls.neighborhood import (LocalOptimum, Operator, Perturbation, Proposal,
                                     WouldCreateCycle, apply_move, enumerate_moves,
                                     estimate_move, ls_step, perturb)
 
-from oracles import apply_move_to_sequences, exact_move_cost, simulate_makespan
+from oracles import (apply_move_to_sequences, exact_move_cost,
+                     reference_critical_blocks, reference_critical_path,
+                     reference_estimate, simulate_makespan)
 
 
 def graph_for(seed, j=6, m=6, rule=DispatchRule.SPT):
@@ -181,3 +184,33 @@ def test_moves_and_perturbations_return_fresh_graphs(j, m, seed, steps):
         with pytest.raises(ValueError):
             g.mach_order[0, 0] = -1
         g = new
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), j=st.integers(1, 6), m=st.integers(1, 6),
+       rule=st.sampled_from(list(DispatchRule)),
+       noise=st.sampled_from([0.0, 0.5, 1.0]), seed=st.integers(0, 10_000),
+       picks=st.lists(st.tuples(st.sampled_from(list(Operator)),
+                                st.integers(0, 10_000)), max_size=8))
+def test_walkers_match_the_numpy_references(data, j, m, rule, noise, seed, picks):
+    # small processing times make equal heads, and so the tie-breaks, common
+    proc = np.array(data.draw(st.lists(st.integers(0, 6), min_size=j * m,
+                                       max_size=j * m))).reshape(j, m)
+    machine = np.array([data.draw(st.permutations(range(m))) for _ in range(j)])
+    inst = Instance(j, m, proc, machine)
+    g = build_graph(inst, stochastic_dispatch(inst, rule, noise=noise, seed=seed))
+    for kind, pick in [(None, 0), *picks]:
+        if kind is not None:
+            moves = enumerate_moves(g, kind)
+            if not moves:
+                continue
+            try:
+                g = apply_move(g, moves[pick % len(moves)])
+            except WouldCreateCycle:
+                continue
+        assert critical_path(g) == reference_critical_path(g)
+        assert ([(b.machine, b.start, b.ops) for b in critical_blocks(g)]
+                == reference_critical_blocks(g))
+        for op in Operator:
+            for mv in enumerate_moves(g, op):
+                assert estimate_move(g, mv).estimate == reference_estimate(g, mv), mv
