@@ -82,9 +82,9 @@ class Instance:
         also cover the graph's virtual source (id n_ops) and sink (n_ops + 1).
         """
         M, n = self.n_machines, self.n_ops
-        src, sink = n, n + 1
+        source, sink = n, n + 1
         return (tuple(self.proc.reshape(-1).tolist()) + (0, 0),
-                tuple(v - 1 if v % M else src for v in range(n)) + (src, src),
+                tuple(v - 1 if v % M else source for v in range(n)) + (source, source),
                 tuple(v + 1 if (v + 1) % M else sink for v in range(n)) + (sink, sink),
                 tuple(self.machine.reshape(-1).tolist()))
 
