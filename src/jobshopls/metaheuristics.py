@@ -223,7 +223,7 @@ def run(config: Union[ControllerConfig, ControllerKind], instance: Instance,
     ctrl = Controller(config, init_cost, iterations, rng, init_rule)
 
     # first proposal, mirroring the environment's reset; ls_step is a pure
-    # function of (graph, operator), so ``out`` is reused while both stay
+    # function of (graph, operator), so ``out`` is reused until either changes
     stepped = (graph, Operator.CT)
     out = ls_step(*stepped)
     pending = out if isinstance(out, Proposal) else None
