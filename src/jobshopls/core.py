@@ -88,6 +88,13 @@ class Instance:
                 tuple(v + 1 if (v + 1) % M else sink for v in range(n)) + (sink, sink),
                 tuple(self.machine.reshape(-1).tolist()))
 
+    @cached_property
+    def routed(self) -> np.ndarray:
+        """Read-only (M, J) flat op ids routed to each machine, in job order."""
+        routed = np.argsort(self.machine.reshape(-1), kind="stable")
+        routed.setflags(write=False)
+        return routed.reshape(self.n_machines, self.n_jobs)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Instance):
             return NotImplemented
@@ -219,8 +226,7 @@ def _checked_order(instance: Instance, solution) -> np.ndarray:
         if order.shape != (M, J):
             raise MalformedSolutionError(
                 f"expected an order of shape {(M, J)}, got {order.shape}")
-    routed = np.argsort(instance.machine.reshape(-1), kind="stable").reshape(M, J)
-    bad = np.flatnonzero((np.sort(order, axis=1) != routed).any(axis=1))
+    bad = np.flatnonzero((np.sort(order, axis=1) != instance.routed).any(axis=1))
     if bad.size:
         raise MalformedSolutionError("\n".join(
             f"machine {k}: not a permutation of the {J} ops routed to it"

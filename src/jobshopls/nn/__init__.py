@@ -5,7 +5,6 @@ from .qnetwork import (
     GNNConfig,
     QNetwork,
     encode,
-    gnn_layer,
     greedy_action,
     load_checkpoint,
     policy_probs,
@@ -19,7 +18,6 @@ __all__ = [
     "GNNConfig",
     "QNetwork",
     "encode",
-    "gnn_layer",
     "greedy_action",
     "load_checkpoint",
     "policy_probs",

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Iterable, Optional, Union
+from itertools import accumulate
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -127,72 +128,117 @@ class QNetwork:
             self.params[name].data = p.data.copy()
 
 
-def gnn_layer(h: Tensor, nbr: np.ndarray, net: QNetwork, index: int) -> Tensor:
+def _checked_group_sizes(obs: Observation, where: str) -> np.ndarray:
+    """Members per group; a bad table or an empty group raises ``where`` + why."""
+    n = obs.node_feats.shape[0]
+    for nbr in (obs.nbr_stat, obs.nbr_dyna):
+        if nbr.shape != (n, 2) or (n and (nbr.min() < 0 or nbr.max() > n)):
+            raise ValueError(f"{where}neighbour table must be ({n}, 2) with ids "
+                             f"in [0, {n}], got shape {nbr.shape}")
+    counts = np.bincount(obs.groups, minlength=obs.n_groups)
+    if counts.min() == 0:
+        raise ValueError(f"{where}group {int(counts.argmin())} has no member nodes")
+    return counts
+
+
+def _gnn_layer(h: Tensor, nbr: np.ndarray, net: QNetwork, index: int) -> Tensor:
     """One message-passing layer with residual and post-layer normalization.
 
     Messages are summed over the (n, 2) neighbour table ``nbr``, in which the
-    id n means "no neighbour": O(n d) per layer, no n x n matrix.
+    id n means "no neighbour": O(n d) per layer, no n x n matrix. ``encode``
+    checks the tables before its first layer.
     """
-    n = h.shape[0]
-    if nbr.shape != (n, 2) or (n and (nbr.min() < 0 or nbr.max() > n)):
-        raise ValueError(f"neighbour table must be ({n}, 2) with ids in "
-                         f"[0, {n}], got shape {nbr.shape}")
     pre = ad.gelu(ad.add(net._run_mlp(f"gnn{index}.m1", h),
                          net._run_mlp(f"gnn{index}.m2", ad.neighbor_sum(h, nbr))))
     scale, shift = net._p(f"gnn{index}.ln.scale", f"gnn{index}.ln.shift")
     return ad.layer_norm(ad.add(h, pre), scale, shift)
 
 
-def encode(obs: Observation, net: QNetwork) -> tuple[Tensor, Tensor, Tensor]:
-    """Embed an observation: per-node, per-group and scalar-feature vectors."""
-    nbr = {"stat": obs.nbr_stat, "dyna": obs.nbr_dyna}
-    h = net._run_mlp("emb", ad.constant(obs.node_feats))
+def encode(observations: Sequence[Observation],
+           net: QNetwork) -> tuple[Tensor, Tensor, Tensor]:
+    """Per-node and per-group vectors of the disjoint union of B >= 1
+    observations, and their (B, d) scalar-feature vectors. Node and group ids
+    are offset per graph; "no neighbour" becomes the union's node count."""
+    counts = np.concatenate([_checked_group_sizes(obs, f"observation {b}: ")
+                             for b, obs in enumerate(observations)])
+    starts = list(accumulate((len(obs.node_feats) for obs in observations), initial=0))
+    nbr = {kind: np.concatenate([
+        np.where(t < e - s, t + s, starts[-1]) for t, s, e in
+        zip((getattr(obs, f"nbr_{kind}") for obs in observations), starts, starts[1:])])
+        for kind in ("stat", "dyna")}
+    groups = np.concatenate([obs.groups + g for obs, g in zip(observations, accumulate(
+        (obs.n_groups for obs in observations), initial=0))])
+    h = net._run_mlp("emb", ad.constant(np.concatenate(
+        [obs.node_feats for obs in observations])))
     for i, kind in enumerate(net.config.layer_schedule):
-        h = gnn_layer(h, nbr[kind], net, i)
+        h = _gnn_layer(h, nbr[kind], net, i)
     omega_node = net._run_mlp("post", h)
 
-    counts = np.bincount(obs.groups, minlength=obs.n_groups)
-    if counts.min() == 0:
-        raise ValueError(f"group {int(counts.argmin())} has no member nodes")
+    order = np.argsort(groups, kind="stable")
     if np.all(counts == counts[0]):
         # equal-size groups (always true for JSSP) pool in one shot
-        order = np.argsort(obs.groups, kind="stable")
         stacked = ad.reshape(ad.permute_rows(omega_node, order),
-                             (obs.n_groups, counts[0], -1))
+                             (counts.size, counts[0], -1))
         pooled = ad.concat([ad.amax(stacked, axis=1),
                             ad.tmean(stacked, axis=1)], axis=1)
-        omega_grp = net._run_mlp("grp", pooled)
     else:
-        group_rows = []
-        for k in range(obs.n_groups):
-            members = ad.rows(omega_node, np.flatnonzero(obs.groups == k))
-            pooled = ad.concat([ad.amax(members, axis=0),
-                                ad.tmean(members, axis=0)], axis=0)
-            group_rows.append(net._run_mlp("grp", ad.reshape(pooled, (1, -1))))
-        omega_grp = ad.concat(group_rows, axis=0)
+        members = [ad.rows(omega_node, ids)
+                   for ids in np.split(order, np.cumsum(counts)[:-1])]
+        pooled = ad.concat([ad.reshape(ad.concat([ad.amax(x, axis=0),
+                                                  ad.tmean(x, axis=0)]), (1, -1))
+                            for x in members])
+    # one call for all groups: a one-row call would round differently (gemv)
+    omega_grp = net._run_mlp("grp", pooled)
 
-    omega_feat = ad.linear(ad.constant(obs.scalars[None, :]),
-                           *net._p("feat.w", "feat.b"))
+    # one (1, 7) row per graph: stacked rows would round differently (gemm)
+    omega_feat = ad.concat([ad.linear(ad.constant(obs.scalars[None, :]),
+                                      *net._p("feat.w", "feat.b"))
+                            for obs in observations])
     return omega_node, omega_grp, omega_feat
+
+
+def _graph_means(x: Tensor, sizes: list) -> Tensor:
+    """(B, d) means of the consecutive row blocks of ``x`` with these sizes."""
+    if all(s == sizes[0] for s in sizes):
+        return ad.tmean(ad.reshape(x, (len(sizes), sizes[0], x.shape[1])), axis=1)
+    return ad.concat([ad.tmean(ad.rows(x, np.arange(e - s, e)), axis=0, keepdims=True)
+                      for s, e in zip(sizes, np.cumsum(sizes))])
+
+
+def batch_q_values(observations: Sequence[Observation], net: QNetwork,
+                   taus: Sequence[np.ndarray]) -> tuple[Tensor, Tensor]:
+    """One forward over the disjoint union of B observations, graph b at
+    quantile levels ``taus[b]``: the (sum |taus[b]|, |A|) quantile rows in
+    graph order and the (B, |A|) mean Q. Equal bit for bit to B single
+    forwards if each |taus[b]| is a multiple of 4 and each graph has two or
+    more groups (BLAS rounds gemm rows by 4-row blocks, gemv differently)."""
+    taus = [np.asarray(t, dtype=np.float64) for t in taus]
+    if not taus or len(taus) != len(observations) or min(t.size for t in taus) == 0:
+        raise ValueError("each observation needs a nonempty array of taus")
+    omega_node, omega_grp, omega_feat = encode(observations, net)
+    pooled = ad.concat([_graph_means(omega_node,
+                                     [len(o.node_feats) for o in observations]),
+                        _graph_means(omega_grp, [o.n_groups for o in observations]),
+                        omega_feat], axis=1)
+    m = np.arange(net.config.n_tau_features)
+    cos_feats = np.cos(np.pi * np.concatenate(taus)[:, None] * m[None, :])
+    phi = ad.gelu(ad.linear(ad.constant(cos_feats), *net._p("tau.w", "tau.b")))
+    ks = [t.size for t in taus]
+    if all(k == ks[0] for k in ks):   # one pooled row broadcast over its taus
+        fused = ad.reshape(ad.mul(ad.reshape(pooled, (len(ks), 1, -1)), ad.reshape(
+            phi, (len(ks), ks[0], -1))), phi.shape)
+    else:
+        fused = ad.mul(ad.rows(pooled, np.repeat(np.arange(len(ks)), ks)), phi)
+    hidden = ad.gelu(ad.linear(fused, *net._p("dec.w1", "dec.b1")))
+    z = ad.linear(hidden, *net._p("dec.w2", "dec.b2"))
+    return z, _graph_means(z, ks)
 
 
 def q_values(obs: Observation, net: QNetwork,
              taus: np.ndarray) -> tuple[Tensor, Tensor]:
     """Return quantile values (|taus| x |A|) and their mean Q (|A|,)."""
-    taus = np.asarray(taus, dtype=np.float64)
-    if taus.size == 0:
-        raise ValueError("taus must be nonempty")
-    omega_node, omega_grp, omega_feat = encode(obs, net)
-    pooled = ad.concat([ad.tmean(omega_node, axis=0, keepdims=True),
-                        ad.tmean(omega_grp, axis=0, keepdims=True),
-                        omega_feat], axis=1)
-    m = np.arange(net.config.n_tau_features)
-    cos_feats = np.cos(np.pi * taus[:, None] * m[None, :])
-    phi = ad.gelu(ad.linear(ad.constant(cos_feats), *net._p("tau.w", "tau.b")))
-    fused = ad.mul(pooled, phi)
-    hidden = ad.gelu(ad.linear(fused, *net._p("dec.w1", "dec.b1")))
-    z = ad.linear(hidden, *net._p("dec.w2", "dec.b2"))
-    return z, ad.tmean(z, axis=0)
+    z, q = batch_q_values([obs], net, [taus])
+    return z, ad.reshape(q, (net.n_actions,))
 
 
 def greedy_action(obs: Observation, net: QNetwork,

@@ -17,6 +17,7 @@ from .core import Instance
 from .env import ActionSpace, Observation, reset as env_reset, step as env_step
 from .nn import GNNConfig, QNetwork, q_values, save_checkpoint
 from .nn import autodiff as ad
+from .nn.qnetwork import batch_q_values
 
 InstanceFactory = Callable[[np.random.Generator], Instance]
 
@@ -235,25 +236,30 @@ def td_loss(batch: Sequence[Transition], weights: np.ndarray, net: QNetwork,
     if len(batch) == 0:
         raise ValueError("empty batch")
     rng = rng or np.random.default_rng()
+    # every item's draws first, in the order a per-item loop would make them
+    draws = [(rng.uniform(size=k_taus), rng.uniform(size=kp_taus),
+              None if tr.done else rng.uniform(size=k_taus)) for tr in batch]
+    targets = [np.full(kp_taus, tr.g) for tr in batch]
+    live = [b for b, tr in enumerate(batch) if not tr.done]
+    if live:
+        boot_obs = [batch[b].bootstrap_obs for b in live]
+        with ad.no_grad():
+            _, q_boot = batch_q_values(boot_obs, net, [draws[b][2] for b in live])
+            z_target, _ = batch_q_values(boot_obs, target_net,
+                                         [draws[b][1] for b in live])
+        z_picked = z_target.data.reshape(len(live), kp_taus, -1)[
+            np.arange(len(live)), :, q_boot.data.argmax(axis=1)]   # (live, K')
+        for i, b in enumerate(live):
+            targets[b] = batch[b].g + gamma ** batch[b].steps * z_picked[i]
+
     total: Optional[ad.Tensor] = None
     priorities = np.empty(len(batch))
-    for b, tr in enumerate(batch):
-        taus = rng.uniform(size=k_taus)
-        taus_p = rng.uniform(size=kp_taus)
-        if tr.done:
-            y = np.full(kp_taus, tr.g)
-        else:
-            with ad.no_grad():
-                _, q_boot = q_values(tr.bootstrap_obs, net, rng.uniform(size=k_taus))
-                a_star = int(np.argmax(q_boot.data))
-                z_target, _ = q_values(tr.bootstrap_obs, target_net, taus_p)
-            y = tr.g + gamma ** tr.steps * z_target.data[:, a_star]
-
+    for b, (tr, (taus, _, _)) in enumerate(zip(batch, draws)):
         z, _ = q_values(tr.obs, net, taus)
         pick = np.zeros((net.n_actions, 1))
         pick[tr.action, 0] = 1.0
         z_a = ad.matmul(z, ad.constant(pick))          # (K, 1)
-        delta = ad.sub(ad.constant(y[None, :]), z_a)   # (K, K') pairwise
+        delta = ad.sub(ad.constant(targets[b][None, :]), z_a)  # (K, K')
         indicator = (delta.data < 0.0).astype(np.float64)
         tau_weight = np.abs(taus[:, None] - indicator)
         rho = ad.mul(ad.constant(tau_weight), ad.huber(delta, kappa))
@@ -286,24 +292,27 @@ def evaluate(net: Optional[QNetwork], instances: Sequence[Instance],
              seed: int = 0, k_taus: int = 8,
              perturbation_strength: int = 3) -> np.ndarray:
     """Best makespan per instance under the policy; greedy runs use fixed
-    quantile midpoints so repeat evaluation is bit-stable."""
+    quantile midpoints so repeat evaluation is bit-stable. The instances step
+    in lockstep, with one forward per step for all greedy ones."""
     taus = (np.arange(k_taus) + 0.5) / k_taus
-    costs = np.empty(len(instances))
-    for i, instance in enumerate(instances):
-        state, obs = env_reset(instance, action_space, seed=seed + i,
-                               t_max=t_max,
-                               perturbation_strength=perturbation_strength)
-        rng = np.random.default_rng(seed + 7919 * i)
-        while not state.done:
-            if net is None or (epsilon > 0.0 and rng.random() < epsilon):
-                action = int(rng.integers(action_space.n_actions))
-            else:
-                with ad.no_grad():
-                    _, q = q_values(obs, net, taus)
-                action = int(np.argmax(q.data))
-            state, _, _, obs = env_step(state, action)
-        costs[i] = state.best_cost
-    return costs
+    resets = [env_reset(instance, action_space, seed=seed + i, t_max=t_max,
+                        perturbation_strength=perturbation_strength)
+              for i, instance in enumerate(instances)]
+    states, obs = [state for state, _ in resets], [first for _, first in resets]
+    rngs = [np.random.default_rng(seed + 7919 * i) for i in range(len(instances))]
+    while live := [i for i, state in enumerate(states) if not state.done]:
+        # each live instance draws from its own generator, as when run alone
+        actions = {i: int(rngs[i].integers(action_space.n_actions)) for i in live
+                   if net is None or (epsilon > 0.0 and rngs[i].random() < epsilon)}
+        greedy = [i for i in live if i not in actions]
+        if greedy:
+            with ad.no_grad():
+                _, q = batch_q_values([obs[i] for i in greedy], net,
+                                      [taus] * len(greedy))
+            actions.update(zip(greedy, q.data.argmax(axis=1).tolist()))
+        for i in live:
+            states[i], _, _, obs[i] = env_step(states[i], actions[i])
+    return np.array([state.best_cost for state in states], dtype=np.float64)
 
 
 def _write_log(path: Path, history: Sequence[EpochRow]) -> None:

@@ -261,3 +261,121 @@ def reference_estimate(graph, move) -> int:
         window = window[lo: hi + 1]
         window.insert(b - lo, window.pop(a - lo))
     return _reference_window(graph, nbrs, p, m, lo, hi, window)
+
+
+# -- Q-network forward, TD loss and validation, one graph at a time --------
+# These are the per-item versions the package ran before its forward took a
+# disjoint union of graphs; the batched code must match them bit for bit.
+
+def reference_encode(obs, net):
+    """Per-node, per-group and (1, d) scalar-feature embeddings of one graph."""
+    from jobshopls.nn import autodiff as ad
+    from jobshopls.nn.qnetwork import _gnn_layer
+
+    nbr = {"stat": obs.nbr_stat, "dyna": obs.nbr_dyna}
+    h = net._run_mlp("emb", ad.constant(obs.node_feats))
+    for i, kind in enumerate(net.config.layer_schedule):
+        h = _gnn_layer(h, nbr[kind], net, i)
+    omega_node = net._run_mlp("post", h)
+
+    counts = np.bincount(obs.groups, minlength=obs.n_groups)
+    if counts.min() == 0:
+        raise ValueError(f"group {int(counts.argmin())} has no member nodes")
+    if np.all(counts == counts[0]):
+        order = np.argsort(obs.groups, kind="stable")
+        stacked = ad.reshape(ad.permute_rows(omega_node, order),
+                             (obs.n_groups, counts[0], -1))
+        pooled = ad.concat([ad.amax(stacked, axis=1),
+                            ad.tmean(stacked, axis=1)], axis=1)
+        omega_grp = net._run_mlp("grp", pooled)
+    else:
+        group_rows = []
+        for k in range(obs.n_groups):
+            members = ad.rows(omega_node, np.flatnonzero(obs.groups == k))
+            pooled = ad.concat([ad.amax(members, axis=0),
+                                ad.tmean(members, axis=0)], axis=0)
+            group_rows.append(net._run_mlp("grp", ad.reshape(pooled, (1, -1))))
+        omega_grp = ad.concat(group_rows, axis=0)
+
+    omega_feat = ad.linear(ad.constant(obs.scalars[None, :]),
+                           *net._p("feat.w", "feat.b"))
+    return omega_node, omega_grp, omega_feat
+
+
+def reference_q_values(obs, net, taus):
+    """Quantile values (|taus| x |A|) and mean Q (|A|,) of one graph."""
+    from jobshopls.nn import autodiff as ad
+
+    taus = np.asarray(taus, dtype=np.float64)
+    omega_node, omega_grp, omega_feat = reference_encode(obs, net)
+    pooled = ad.concat([ad.tmean(omega_node, axis=0, keepdims=True),
+                        ad.tmean(omega_grp, axis=0, keepdims=True),
+                        omega_feat], axis=1)
+    m = np.arange(net.config.n_tau_features)
+    cos_feats = np.cos(np.pi * taus[:, None] * m[None, :])
+    phi = ad.gelu(ad.linear(ad.constant(cos_feats), *net._p("tau.w", "tau.b")))
+    fused = ad.mul(pooled, phi)
+    hidden = ad.gelu(ad.linear(fused, *net._p("dec.w1", "dec.b1")))
+    z = ad.linear(hidden, *net._p("dec.w2", "dec.b2"))
+    return z, ad.tmean(z, axis=0)
+
+
+def reference_td_loss(batch, weights, net, target_net, k_taus=8, kp_taus=8,
+                      gamma=0.99, kappa=1.0, rng=None):
+    """Quantile Huber loss and priorities with one forward per item."""
+    from jobshopls.nn import autodiff as ad
+
+    rng = rng or np.random.default_rng()
+    total = None
+    priorities = np.empty(len(batch))
+    for b, tr in enumerate(batch):
+        taus = rng.uniform(size=k_taus)
+        taus_p = rng.uniform(size=kp_taus)
+        if tr.done:
+            y = np.full(kp_taus, tr.g)
+        else:
+            with ad.no_grad():
+                _, q_boot = reference_q_values(tr.bootstrap_obs, net,
+                                               rng.uniform(size=k_taus))
+                a_star = int(np.argmax(q_boot.data))
+                z_target, _ = reference_q_values(tr.bootstrap_obs, target_net,
+                                                 taus_p)
+            y = tr.g + gamma ** tr.steps * z_target.data[:, a_star]
+
+        z, _ = reference_q_values(tr.obs, net, taus)
+        pick = np.zeros((net.n_actions, 1))
+        pick[tr.action, 0] = 1.0
+        z_a = ad.matmul(z, ad.constant(pick))
+        delta = ad.sub(ad.constant(y[None, :]), z_a)
+        indicator = (delta.data < 0.0).astype(np.float64)
+        tau_weight = np.abs(taus[:, None] - indicator)
+        rho = ad.mul(ad.constant(tau_weight), ad.huber(delta, kappa))
+        item = ad.mul(ad.tsum(rho), ad.constant(weights[b] / (kp_taus * kappa)))
+        total = item if total is None else ad.add(total, item)
+        priorities[b] = np.abs(delta.data).mean()
+    loss = ad.mul(total, ad.constant(1.0 / len(batch)))
+    return loss, priorities
+
+
+def reference_evaluate(net, instances, action_space, t_max, epsilon=0.0,
+                       seed=0, k_taus=8, perturbation_strength=3):
+    """Best makespan per instance, rolling the instances out one by one."""
+    from jobshopls.env import reset, step
+    from jobshopls.nn import autodiff as ad
+
+    taus = (np.arange(k_taus) + 0.5) / k_taus
+    costs = np.empty(len(instances))
+    for i, instance in enumerate(instances):
+        state, obs = reset(instance, action_space, seed=seed + i, t_max=t_max,
+                           perturbation_strength=perturbation_strength)
+        rng = np.random.default_rng(seed + 7919 * i)
+        while not state.done:
+            if net is None or (epsilon > 0.0 and rng.random() < epsilon):
+                action = int(rng.integers(action_space.n_actions))
+            else:
+                with ad.no_grad():
+                    _, q = reference_q_values(obs, net, taus)
+                action = int(np.argmax(q.data))
+            state, _, _, obs = step(state, action)
+        costs[i] = state.best_cost
+    return costs

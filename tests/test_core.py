@@ -140,6 +140,19 @@ def test_instance_rejects_bad_routes():
                  machine=np.array([[0, 0], [1, 0]]))
 
 
+def test_routing_table_is_computed_once_and_read_only():
+    inst = generate_instance(4, 3, seed=5)
+    routed = inst.routed
+    assert routed is inst.routed and not routed.flags.writeable
+    assert routed.shape == (3, 4)
+    for k, ops in enumerate(routed.tolist()):
+        assert ops == sorted(ops)
+        assert all(inst.machine.reshape(-1)[v] == k for v in ops)
+    sol = dispatch(inst, DispatchRule.SPT)
+    build_graph(inst, sol)
+    assert inst.routed is routed
+
+
 def test_graph_matches_simulation_on_rectangular_shapes():
     for i, (j, m) in enumerate([(1, 1), (1, 4), (5, 1), (2, 5), (5, 3)]):
         inst = generate_instance(j, m, seed=40 + i)

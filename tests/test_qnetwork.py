@@ -4,9 +4,10 @@ import pytest
 
 from jobshopls import builtin_instance, generate_instance
 from jobshopls.env import ActionSpace, Observation, reset, step
-from jobshopls.nn import (GNNConfig, QNetwork, autodiff as ad, encode, gnn_layer,
+from jobshopls.nn import (GNNConfig, QNetwork, autodiff as ad, encode,
                           greedy_action, load_checkpoint, policy_probs, q_values,
                           save_checkpoint)
+from jobshopls.nn.qnetwork import _gnn_layer, batch_q_values
 
 TINY = GNNConfig(d_emb=8, mlp_hidden=8, iqn_hidden=16, n_tau_features=8)
 
@@ -102,7 +103,7 @@ def test_zeroed_message_layer_reduces_to_layer_norm():
         net.params[name].data[...] = 0.0
     h = ad.constant(np.random.default_rng(5).standard_normal(
         (obs.node_feats.shape[0], TINY.d_emb)))
-    out = gnn_layer(h, obs.nbr_stat, net, 0)
+    out = _gnn_layer(h, obs.nbr_stat, net, 0)
     want = ad.layer_norm(h, net.params["gnn0.ln.scale"],
                          net.params["gnn0.ln.shift"]).data
     assert np.allclose(out.data, want, atol=1e-12)
@@ -121,10 +122,10 @@ def test_single_operation_instance_has_no_edges():
 def test_group_pooling_ignores_order_within_groups():
     obs = small_obs(6, j=4, m=3)
     net = QNetwork(10, TINY, seed=11)
-    nodes, grp, feat = encode(obs, net)
+    nodes, grp, feat = encode([obs], net)
     # permute whole observation; grouped statistics must be preserved
     obs2 = permuted(obs, np.roll(np.arange(obs.node_feats.shape[0]), 5))
-    _, grp2, _ = encode(obs2, net)
+    _, grp2, _ = encode([obs2], net)
     assert np.allclose(np.sort(grp.data, axis=0), np.sort(grp2.data, axis=0),
                        atol=1e-10)
 
@@ -140,11 +141,15 @@ def test_unequal_group_sizes_supported():
 
 
 def test_empty_group_is_rejected():
-    obs = table_obs(np.random.default_rng(14), np.full((3, 2), 3),
-                    groups=[0, 0, 2], n_groups=3)
+    rng = np.random.default_rng(14)
+    obs = table_obs(rng, np.full((3, 2), 3), groups=[0, 0, 2], n_groups=3)
     net = QNetwork(4, TINY, seed=15)
-    with pytest.raises(ValueError):
-        encode(obs, net)
+    with pytest.raises(ValueError, match="group 1 has no member nodes"):
+        encode([obs], net)
+    # in a union the error names the member, not the union's group ids
+    good = table_obs(rng, np.full((3, 2), 3), groups=[0, 1, 2], n_groups=3)
+    with pytest.raises(ValueError, match="^observation 1: group 1 has no member"):
+        batch_q_values([good, obs], net, [[0.5], [0.5]])
 
 
 @pytest.mark.parametrize("bad", [
@@ -152,12 +157,109 @@ def test_empty_group_is_rejected():
     np.full((5, 3), 5),                        # wrong width
     np.array([[5, 1], [0, 6], [1, 5], [5, 5], [5, 5]]),   # id past n
     np.array([[5, 1], [0, -1], [1, 5], [5, 5], [5, 5]]),  # negative id
+    [np.full((5, 2), 5), np.full((5, 2), 6)],  # member 1 of a union: id past n
 ])
 def test_malformed_neighbour_table_is_rejected(bad):
-    obs = table_obs(np.random.default_rng(18), bad, groups=[0, 0, 0, 1, 1],
-                    n_groups=2)
+    rng = np.random.default_rng(18)
+    net = QNetwork(4, TINY, seed=19)
+    if isinstance(bad, list):
+        # the union's own table would be valid (6 < 10 nodes): each member
+        # is checked on its own, and the error names it
+        obs = [table_obs(rng, t, groups=[0, 0, 0, 1, 1], n_groups=2) for t in bad]
+        with pytest.raises(ValueError, match="^observation 1: neighbour table"):
+            batch_q_values(obs, net, [[0.5]] * len(obs))
+        return
+    obs = table_obs(rng, bad, groups=[0, 0, 0, 1, 1], n_groups=2)
     with pytest.raises(ValueError, match="neighbour table"):
-        encode(obs, QNetwork(4, TINY, seed=19))
+        encode([obs], net)
+
+
+def stepped_obs(j, m, seed):
+    """An ANP observation a few accepted and rejected proposals in."""
+    state, obs = reset(generate_instance(j, m, seed=seed), ActionSpace.ANP,
+                       seed=seed, t_max=10)
+    for action in (6, 1, 7):
+        state, _, _, obs = step(state, action)
+    return obs
+
+
+UNION_BATCHES = {
+    # equal sizes and tau counts: one-shot group pooling, reshaped means
+    "6x6": ([(6, 6)] * 12, [8] * 12),
+    # per-graph tau counts, all multiples of the 4-row gemm block
+    "unequal-k": ([(6, 6)] * 4, [4, 8, 12, 16]),
+    # 6-op and 8-op groups in one union: the per-group pooling branch
+    "6x6+8x4": ([(6, 6), (8, 4)] * 3, [8] * 6),
+}
+
+
+@pytest.mark.parametrize("scale", ["desk", "full"])
+@pytest.mark.parametrize("batch", sorted(UNION_BATCHES))
+def test_union_forward_equals_per_graph_forwards(batch, scale):
+    from oracles import reference_q_values
+
+    shapes, ks = UNION_BATCHES[batch]
+    config = GNNConfig.desk_scale() if scale == "desk" else GNNConfig()
+    net = QNetwork(10, config, seed=31)
+    rng = np.random.default_rng(32)
+    observations = [stepped_obs(j, m, seed) for seed, (j, m) in enumerate(shapes)]
+    taus = [rng.uniform(size=k) for k in ks]
+    with ad.no_grad():
+        z, q = batch_q_values(observations, net, taus)
+        want = [reference_q_values(o, net, t) for o, t in zip(observations, taus)]
+    assert np.array_equal(z.data, np.concatenate([zr.data for zr, _ in want]))
+    assert np.array_equal(q.data, np.stack([qr.data for _, qr in want]))
+
+
+def test_union_forward_with_unaligned_tau_counts_is_within_rounding():
+    # BLAS rounds a gemm row by where it falls in the kernel's 4-row blocks,
+    # so tau counts that are not multiples of 4 may move the last bit
+    from oracles import reference_q_values
+
+    net = QNetwork(10, GNNConfig.desk_scale(), seed=33)
+    rng = np.random.default_rng(34)
+    observations = [stepped_obs(6, 6, seed) for seed in range(5)]
+    taus = [rng.uniform(size=k) for k in (3, 1, 5, 8, 2)]
+    with ad.no_grad():
+        z, q = batch_q_values(observations, net, taus)
+        want = [reference_q_values(o, net, t) for o, t in zip(observations, taus)]
+    assert z.shape == (19, 10) and q.shape == (5, 10)
+    assert np.allclose(z.data, np.concatenate([zr.data for zr, _ in want]),
+                       rtol=1e-13, atol=1e-15)
+    assert np.allclose(q.data, np.stack([qr.data for _, qr in want]),
+                       rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("scale", ["desk", "full"])
+def test_single_graph_gradients_equal_reference(scale):
+    from oracles import reference_q_values
+
+    config = GNNConfig.desk_scale() if scale == "desk" else GNNConfig()
+    net = QNetwork(10, config, seed=35)
+    obs = stepped_obs(6, 6, 36)
+    rng = np.random.default_rng(37)
+    taus = rng.uniform(size=8)
+    g_z, g_q = rng.standard_normal((8, 10)), rng.standard_normal(10)
+    grads = []
+    for forward in (q_values, reference_q_values):
+        net.zero_grad()
+        z, q = forward(obs, net, taus)
+        ad.add(ad.tsum(ad.mul(z, ad.constant(g_z))),
+               ad.tsum(ad.mul(q, ad.constant(g_q)))).backward()
+        grads.append({name: p.grad for name, p in net.params.items()})
+    for name in net.params:
+        assert np.array_equal(grads[0][name], grads[1][name]), name
+
+
+def test_union_forward_needs_taus_for_every_graph():
+    net = QNetwork(10, TINY, seed=38)
+    obs = small_obs(9)
+    with pytest.raises(ValueError, match="taus"):
+        batch_q_values([obs, obs], net, [[0.5]])
+    with pytest.raises(ValueError, match="taus"):
+        batch_q_values([obs], net, [[]])
+    with pytest.raises(ValueError, match="taus"):
+        batch_q_values([], net, [])
 
 
 @pytest.mark.parametrize("make", [

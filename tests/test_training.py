@@ -7,6 +7,7 @@ import pytest
 from jobshopls import generate_instance
 from jobshopls.env import ActionSpace
 from jobshopls.nn import GNNConfig, QNetwork
+from jobshopls import training
 from jobshopls.training import (Adam, EnvHandle, ReplayBuffer, TrainConfig,
                                 Transition, collect, evaluate, td_loss, train)
 
@@ -184,6 +185,77 @@ def test_evaluate_is_bit_stable_and_seeded():
     r2 = evaluate(None, insts, ActionSpace.A, t_max=4, epsilon=1.0, seed=6)
     assert a.shape == (2,)
     assert not np.array_equal(r1, r2)
+
+
+def mixed_batch(t_max, steps):
+    """Transitions from a 6x6 and an 8x4 env run round-robin."""
+    envs = [EnvHandle(lambda rng, j=j, m=m: generate_instance(j, m, seed=j),
+                      ActionSpace.ANP, t_max=t_max, seed=j)
+            for j, m in ((6, 6), (8, 4))]
+    return collect(envs, None, 1.0, steps, np.random.default_rng(t_max), n_step=3)
+
+
+def loss_and_grads(loss_fn, batch, net, target, seed):
+    net.zero_grad()
+    weights = np.linspace(0.5, 1.0, len(batch))
+    loss, priorities = loss_fn(batch, weights, net, target, gamma=0.9,
+                               rng=np.random.default_rng(seed))
+    loss.backward()
+    return loss.data, priorities, {k: p.grad for k, p in net.params.items()}
+
+
+def test_td_loss_equals_per_item_reference():
+    from oracles import reference_td_loss
+
+    batch = mixed_batch(t_max=6, steps=24)
+    assert 0 < sum(tr.done for tr in batch) < len(batch)
+    net = QNetwork(10, GNNConfig.desk_scale(), seed=41)
+    target = QNetwork(10, GNNConfig.desk_scale(), seed=42)
+    got = loss_and_grads(td_loss, batch, net, target, 43)
+    want = loss_and_grads(reference_td_loss, batch, net, target, 43)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    for name in net.params:
+        assert np.array_equal(got[2][name], want[2][name]), name
+
+
+def test_all_done_batch_runs_no_union_forward(monkeypatch):
+    from oracles import reference_td_loss
+
+    batch = mixed_batch(t_max=3, steps=12)
+    assert all(tr.done for tr in batch)
+    calls = []
+    real = training.batch_q_values
+    monkeypatch.setattr(training, "batch_q_values",
+                        lambda *a: calls.append(a) or real(*a))
+    net = QNetwork(10, TINY, seed=44)
+    target = QNetwork(10, TINY, seed=45)
+    got = loss_and_grads(td_loss, batch, net, target, 46)
+    want = loss_and_grads(reference_td_loss, batch, net, target, 46)
+    assert calls == []
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    for name in net.params:
+        assert np.array_equal(got[2][name], want[2][name]), name
+
+
+@pytest.mark.parametrize("epsilon, policy", [(0.0, "net"), (0.5, "net"),
+                                             (0.0, "random")])
+def test_lockstep_evaluate_equals_sequential_reference(epsilon, policy):
+    from oracles import reference_evaluate
+
+    insts = [generate_instance(j, m, seed=s)
+             for s, (j, m) in enumerate([(6, 6), (8, 4), (6, 6), (3, 5)])]
+    net = (QNetwork(10, GNNConfig.desk_scale(), seed=47)
+           if policy == "net" else None)
+    kwargs = dict(t_max=7, epsilon=epsilon, seed=48)
+    got = evaluate(net, insts, ActionSpace.ANP, **kwargs)
+    want = reference_evaluate(net, insts, ActionSpace.ANP, **kwargs)
+    assert np.array_equal(got, want)
+
+
+def test_evaluate_of_no_instances_is_empty():
+    out = evaluate(QNetwork(2, TINY, seed=49), [], ActionSpace.A, t_max=4)
+    assert out.shape == (0,) and out.dtype == np.float64
 
 
 def test_train_micro_run_writes_artifacts(tmp_path):
