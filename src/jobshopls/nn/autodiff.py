@@ -9,6 +9,7 @@ tight.
 from __future__ import annotations
 
 import contextlib
+from itertools import accumulate
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -240,6 +241,15 @@ def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return Tensor(x.data.sum(axis=axis, keepdims=keepdims), parents=(x,), push=push)
 
 
+def fold_sum(x: Tensor) -> Tensor:
+    """Sum of a 1-D tensor as the left fold ((x0 + x1) + x2) + ...; np.sum adds
+    eight or more values pairwise, which rounds differently."""
+    def push(g):
+        if x.requires_grad:
+            x._accumulate(np.broadcast_to(g, x.shape).copy())
+    return Tensor(np.cumsum(x.data)[-1], parents=(x,), push=push)
+
+
 def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     count = x.data.size if axis is None else x.shape[axis]
     def push(g):
@@ -330,10 +340,23 @@ def huber(x: Tensor, kappa: float = 1.0) -> Tensor:
     return Tensor(out, parents=(x,), push=push)
 
 
-def layer_norm(x: Tensor, scale: Tensor, shift: Tensor,
-               eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis, then apply the learned affine map."""
-    d = x.shape[-1]
+def _graphs(sizes: Optional[Sequence[int]]) -> list:
+    """Row slices of the graphs of a disjoint union (``None``: one graph).
+
+    Backward passes given ``sizes`` reduce parameter gradients and multiply by
+    a transposed operand one graph at a time, in graph order: BLAS rounds a
+    row of ``g @ w.T`` by the call's row count, and B separate tapes sum each
+    parameter's gradient graph 0 first. So the union's gradients equal theirs
+    bit for bit; elementwise steps and the forward ``x @ w`` stay one call."""
+    if sizes is None:
+        return [slice(None)]
+    return [slice(e - s, e) for s, e in zip(sizes, accumulate(sizes))]
+
+
+def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5,
+               sizes: Optional[Sequence[int]] = None) -> Tensor:
+    """Normalize the last axis, then apply the learned affine map; ``sizes``
+    splits the first axis into graphs (see ``_graphs``)."""
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
@@ -341,10 +364,13 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor,
     xhat = centered * inv
 
     def push(g):
-        if scale.requires_grad:
-            scale._accumulate((g * xhat).sum(axis=tuple(range(g.ndim - 1))))
-        if shift.requires_grad:
-            shift._accumulate(g.sum(axis=tuple(range(g.ndim - 1))))
+        lead = tuple(range(g.ndim - 1))
+        gxhat = g * xhat
+        for s in _graphs(sizes):
+            if scale.requires_grad:
+                scale._accumulate(gxhat[s].sum(axis=lead))
+            if shift.requires_grad:
+                shift._accumulate(g[s].sum(axis=lead))
         if x.requires_grad:
             gx = g * scale.data
             x._accumulate(inv * (gx - gx.mean(axis=-1, keepdims=True)
@@ -353,20 +379,26 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor,
                   parents=(x, scale, shift), push=push)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map x @ w + b for 2-D x."""
+def linear(x: Tensor, w: Tensor, b: Tensor,
+           sizes: Optional[Sequence[int]] = None) -> Tensor:
+    """Affine map x @ w + b for 2-D x; ``sizes`` splits the rows into graphs
+    (see ``_graphs``)."""
     def push(g):
+        parts = _graphs(sizes)
         if x.requires_grad:
-            x._accumulate(g @ w.data.T)
-        if w.requires_grad:
-            w._accumulate(x.data.T @ g)
-        if b.requires_grad:
-            b._accumulate(g.sum(axis=0))
+            x._accumulate(np.concatenate([g[s] @ w.data.T for s in parts]))
+        for s in parts:
+            if w.requires_grad:
+                w._accumulate(x.data[s].T @ g[s])
+            if b.requires_grad:
+                b._accumulate(g[s].sum(axis=0))
     return Tensor(x.data @ w.data + b.data, parents=(x, w, b), push=push)
 
 
-def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """Two-layer perceptron with a GeLU between, fused into one tape node."""
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+        sizes: Optional[Sequence[int]] = None) -> Tensor:
+    """Two-layer perceptron with a GeLU between, fused into one tape node;
+    ``sizes`` splits the rows into graphs (see ``_graphs``)."""
     # in-place bias adds: same arithmetic, but no fresh (n, d) buffer to fault in
     z = x.data @ w1.data
     z += b1.data
@@ -376,16 +408,19 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     out += b2.data
 
     def push(g):
-        if w2.requires_grad:
-            w2._accumulate(a.T @ g)
-        if b2.requires_grad:
-            b2._accumulate(g.sum(axis=0))
-        ga = g @ w2.data.T
-        gz = ga * (cdf + z * np.exp(-0.5 * z * z) * _INV_SQRT_2PI)
-        if w1.requires_grad:
-            w1._accumulate(x.data.T @ gz)
-        if b1.requires_grad:
-            b1._accumulate(gz.sum(axis=0))
+        parts = _graphs(sizes)
+        for s in parts:
+            if w2.requires_grad:
+                w2._accumulate(a[s].T @ g[s])
+            if b2.requires_grad:
+                b2._accumulate(g[s].sum(axis=0))
+        gz = np.concatenate([g[s] @ w2.data.T for s in parts])
+        gz *= cdf + z * np.exp(-0.5 * z * z) * _INV_SQRT_2PI
+        for s in parts:
+            if w1.requires_grad:
+                w1._accumulate(x.data[s].T @ gz[s])
+            if b1.requires_grad:
+                b1._accumulate(gz[s].sum(axis=0))
         if x.requires_grad:
-            x._accumulate(gz @ w1.data.T)
+            x._accumulate(np.concatenate([gz[s] @ w1.data.T for s in parts]))
     return Tensor(out, parents=(x, w1, b1, w2, b2), push=push)

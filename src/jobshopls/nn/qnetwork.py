@@ -118,9 +118,9 @@ class QNetwork:
     def _p(self, *names: str) -> tuple:
         return tuple(self.params[n] for n in names)
 
-    def _run_mlp(self, name: str, x: Tensor) -> Tensor:
+    def _run_mlp(self, name: str, x: Tensor, sizes=None) -> Tensor:
         return ad.mlp(x, *self._p(f"{name}.w1", f"{name}.b1",
-                                  f"{name}.w2", f"{name}.b2"))
+                                  f"{name}.w2", f"{name}.b2"), sizes=sizes)
 
     def copy_from(self, other: "QNetwork") -> None:
         """Overwrite this net's parameters with another's (target sync)."""
@@ -141,17 +141,19 @@ def _checked_group_sizes(obs: Observation, where: str) -> np.ndarray:
     return counts
 
 
-def _gnn_layer(h: Tensor, nbr: np.ndarray, net: QNetwork, index: int) -> Tensor:
+def _gnn_layer(h: Tensor, nbr: np.ndarray, net: QNetwork, index: int,
+               sizes=None) -> Tensor:
     """One message-passing layer with residual and post-layer normalization.
 
     Messages are summed over the (n, 2) neighbour table ``nbr``, in which the
     id n means "no neighbour": O(n d) per layer, no n x n matrix. ``encode``
-    checks the tables before its first layer.
+    checks the tables before its first layer. ``sizes`` are the node counts
+    of the union's graphs.
     """
-    pre = ad.gelu(ad.add(net._run_mlp(f"gnn{index}.m1", h),
-                         net._run_mlp(f"gnn{index}.m2", ad.neighbor_sum(h, nbr))))
+    pre = ad.gelu(ad.add(net._run_mlp(f"gnn{index}.m1", h, sizes), net._run_mlp(
+        f"gnn{index}.m2", ad.neighbor_sum(h, nbr), sizes)))
     scale, shift = net._p(f"gnn{index}.ln.scale", f"gnn{index}.ln.shift")
-    return ad.layer_norm(ad.add(h, pre), scale, shift)
+    return ad.layer_norm(ad.add(h, pre), scale, shift, sizes=sizes)
 
 
 def encode(observations: Sequence[Observation],
@@ -161,7 +163,8 @@ def encode(observations: Sequence[Observation],
     are offset per graph; "no neighbour" becomes the union's node count."""
     counts = np.concatenate([_checked_group_sizes(obs, f"observation {b}: ")
                              for b, obs in enumerate(observations)])
-    starts = list(accumulate((len(obs.node_feats) for obs in observations), initial=0))
+    sizes = [len(obs.node_feats) for obs in observations]
+    starts = list(accumulate(sizes, initial=0))
     nbr = {kind: np.concatenate([
         np.where(t < e - s, t + s, starts[-1]) for t, s, e in
         zip((getattr(obs, f"nbr_{kind}") for obs in observations), starts, starts[1:])])
@@ -169,10 +172,10 @@ def encode(observations: Sequence[Observation],
     groups = np.concatenate([obs.groups + g for obs, g in zip(observations, accumulate(
         (obs.n_groups for obs in observations), initial=0))])
     h = net._run_mlp("emb", ad.constant(np.concatenate(
-        [obs.node_feats for obs in observations])))
+        [obs.node_feats for obs in observations])), sizes)
     for i, kind in enumerate(net.config.layer_schedule):
-        h = _gnn_layer(h, nbr[kind], net, i)
-    omega_node = net._run_mlp("post", h)
+        h = _gnn_layer(h, nbr[kind], net, i, sizes)
+    omega_node = net._run_mlp("post", h, sizes)
 
     order = np.argsort(groups, kind="stable")
     if np.all(counts == counts[0]):
@@ -188,7 +191,7 @@ def encode(observations: Sequence[Observation],
                                                   ad.tmean(x, axis=0)]), (1, -1))
                             for x in members])
     # one call for all groups: a one-row call would round differently (gemv)
-    omega_grp = net._run_mlp("grp", pooled)
+    omega_grp = net._run_mlp("grp", pooled, [obs.n_groups for obs in observations])
 
     # one (1, 7) row per graph: stacked rows would round differently (gemm)
     omega_feat = ad.concat([ad.linear(ad.constant(obs.scalars[None, :]),
@@ -211,7 +214,9 @@ def batch_q_values(observations: Sequence[Observation], net: QNetwork,
     quantile levels ``taus[b]``: the (sum |taus[b]|, |A|) quantile rows in
     graph order and the (B, |A|) mean Q. Equal bit for bit to B single
     forwards if each |taus[b]| is a multiple of 4 and each graph has two or
-    more groups (BLAS rounds gemm rows by 4-row blocks, gemv differently)."""
+    more groups (BLAS rounds gemm rows by 4-row blocks, gemv differently);
+    then the gradients of a loss summed over the graphs in order are equal
+    too, since the backward reduces and multiplies per graph."""
     taus = [np.asarray(t, dtype=np.float64) for t in taus]
     if not taus or len(taus) != len(observations) or min(t.size for t in taus) == 0:
         raise ValueError("each observation needs a nonempty array of taus")
@@ -222,15 +227,15 @@ def batch_q_values(observations: Sequence[Observation], net: QNetwork,
                         omega_feat], axis=1)
     m = np.arange(net.config.n_tau_features)
     cos_feats = np.cos(np.pi * np.concatenate(taus)[:, None] * m[None, :])
-    phi = ad.gelu(ad.linear(ad.constant(cos_feats), *net._p("tau.w", "tau.b")))
     ks = [t.size for t in taus]
+    phi = ad.gelu(ad.linear(ad.constant(cos_feats), *net._p("tau.w", "tau.b"), ks))
     if all(k == ks[0] for k in ks):   # one pooled row broadcast over its taus
         fused = ad.reshape(ad.mul(ad.reshape(pooled, (len(ks), 1, -1)), ad.reshape(
             phi, (len(ks), ks[0], -1))), phi.shape)
     else:
         fused = ad.mul(ad.rows(pooled, np.repeat(np.arange(len(ks)), ks)), phi)
-    hidden = ad.gelu(ad.linear(fused, *net._p("dec.w1", "dec.b1")))
-    z = ad.linear(hidden, *net._p("dec.w2", "dec.b2"))
+    hidden = ad.gelu(ad.linear(fused, *net._p("dec.w1", "dec.b1"), ks))
+    z = ad.linear(hidden, *net._p("dec.w2", "dec.b2"), ks)
     return z, _graph_means(z, ks)
 
 

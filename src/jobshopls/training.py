@@ -235,11 +235,14 @@ def td_loss(batch: Sequence[Transition], weights: np.ndarray, net: QNetwork,
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (len(batch),):
+        raise ValueError(f"{len(batch)} items but weights of shape {weights.shape}")
     rng = rng or np.random.default_rng()
     # every item's draws first, in the order a per-item loop would make them
     draws = [(rng.uniform(size=k_taus), rng.uniform(size=kp_taus),
               None if tr.done else rng.uniform(size=k_taus)) for tr in batch]
-    targets = [np.full(kp_taus, tr.g) for tr in batch]
+    targets = np.array([np.full(kp_taus, tr.g) for tr in batch])
     live = [b for b, tr in enumerate(batch) if not tr.done]
     if live:
         boot_obs = [batch[b].bootstrap_obs for b in live]
@@ -252,21 +255,22 @@ def td_loss(batch: Sequence[Transition], weights: np.ndarray, net: QNetwork,
         for i, b in enumerate(live):
             targets[b] = batch[b].g + gamma ** batch[b].steps * z_picked[i]
 
-    total: Optional[ad.Tensor] = None
-    priorities = np.empty(len(batch))
-    for b, (tr, (taus, _, _)) in enumerate(zip(batch, draws)):
-        z, _ = q_values(tr.obs, net, taus)
-        pick = np.zeros((net.n_actions, 1))
-        pick[tr.action, 0] = 1.0
-        z_a = ad.matmul(z, ad.constant(pick))          # (K, 1)
-        delta = ad.sub(ad.constant(targets[b][None, :]), z_a)  # (K, K')
-        indicator = (delta.data < 0.0).astype(np.float64)
-        tau_weight = np.abs(taus[:, None] - indicator)
-        rho = ad.mul(ad.constant(tau_weight), ad.huber(delta, kappa))
-        item = ad.mul(ad.tsum(rho), ad.constant(weights[b] / (kp_taus * kappa)))
-        total = item if total is None else ad.add(total, item)
-        priorities[b] = np.abs(delta.data).mean()
-    loss = ad.mul(total, ad.constant(1.0 / len(batch)))
+    # one gradient forward over the union; the loss stays per item
+    n = len(batch)
+    taus = np.array([d[0] for d in draws])                     # (B, K)
+    z, _ = batch_q_values([tr.obs for tr in batch], net, list(taus))
+    pick = np.eye(net.n_actions)[[tr.action for tr in batch], None]   # (B, 1, A)
+    # every other term of the sum is +-0, so z_a is exact
+    z_a = ad.tsum(ad.mul(ad.reshape(z, (n, k_taus, -1)), ad.constant(pick)),
+                  axis=2, keepdims=True)                       # (B, K, 1)
+    delta = ad.sub(ad.constant(targets[:, None, :]), z_a)      # (B, K, K')
+    indicator = (delta.data < 0.0).astype(np.float64)
+    tau_weight = np.abs(taus[:, :, None] - indicator)
+    rho = ad.mul(ad.constant(tau_weight), ad.huber(delta, kappa))
+    items = ad.mul(ad.tsum(ad.reshape(rho, (n, -1)), axis=1),
+                   ad.constant(weights / (kp_taus * kappa)))
+    loss = ad.mul(ad.fold_sum(items), ad.constant(1.0 / n))
+    priorities = np.abs(delta.data).reshape(n, -1).mean(axis=1)
     return loss, priorities
 
 
@@ -384,6 +388,7 @@ def train(config: TrainConfig, instance_factory: InstanceFactory,
                 optimizer.step(net)
                 buffer.update_priorities(idx, pri)
                 losses.append(float(loss.data))
+                del loss   # frees this step's tape before the next one is built
                 optimizer_steps += 1
                 if optimizer_steps % config.target_update == 0:
                     target.copy_from(net)

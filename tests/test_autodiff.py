@@ -181,3 +181,67 @@ def test_amax_routes_gradient_to_first_maximum():
     x = ad.parameter(np.array([[1.0, 3.0, 3.0]]))
     ad.tsum(ad.amax(x, axis=1)).backward()
     assert np.array_equal(x.grad, [[0.0, 1.0, 0.0]])
+
+
+def tape(op, x, params, r, **kwargs):
+    """Input and parameter gradients of sum(op(x, *params) * r), one tape."""
+    xt = ad.parameter(x)
+    ps = [ad.parameter(p) for p in params]
+    ad.tsum(ad.mul(op(xt, *ps, **kwargs), ad.constant(r))).backward()
+    return xt.grad, [p.grad for p in ps]
+
+
+def check_union_backward(op, x, params, d_out, sizes):
+    """One tape over the union of segments with these row counts equals one
+    tape per segment bit for bit: input gradients concatenated, parameter
+    gradients summed in segment order."""
+    r = np.random.default_rng(len(sizes)).standard_normal((len(x), d_out))
+    got_x, got_params = tape(op, x, params, r, sizes=sizes)
+    ends = np.cumsum(sizes)
+    parts = [tape(op, x[e - s:e], params, r[e - s:e]) for s, e in zip(sizes, ends)]
+    assert np.array_equal(got_x, np.concatenate([gx for gx, _ in parts]))
+    for i, got in enumerate(got_params):
+        want = parts[0][1][i].copy()
+        for _, grads in parts[1:]:
+            want += grads[i]
+        assert np.array_equal(got, want), i
+
+
+UNION_SIZES = [(37, 1, 64, 30), (24, 24, 24), (5, 83)]
+
+
+@pytest.mark.parametrize("sizes", UNION_SIZES)
+def test_linear_backward_per_graph_equals_separate_tapes(sizes):
+    rng = np.random.default_rng(20)
+    x = rng.standard_normal((sum(sizes), 64))
+    params = [rng.standard_normal((64, 96)), rng.standard_normal(96)]
+    check_union_backward(ad.linear, x, params, 96, sizes)
+
+
+@pytest.mark.parametrize("sizes", UNION_SIZES)
+def test_layer_norm_backward_per_graph_equals_separate_tapes(sizes):
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((sum(sizes), 64))
+    params = [rng.standard_normal(64), rng.standard_normal(64)]
+    check_union_backward(ad.layer_norm, x, params, 64, sizes)
+
+
+# no one-row segment: its forward x @ w1 is a gemv on its own tape, which
+# rounds differently from a row of the union's gemm
+@pytest.mark.parametrize("sizes", [(37, 2, 64, 30), (24, 24, 24), (5, 83)])
+def test_mlp_backward_per_graph_equals_separate_tapes(sizes):
+    rng = np.random.default_rng(22)
+    x = rng.standard_normal((sum(sizes), 64))
+    params = [rng.standard_normal((64, 96)), rng.standard_normal(96),
+              rng.standard_normal((96, 48)), rng.standard_normal(48)]
+    check_union_backward(ad.mlp, x, params, 48, sizes)
+
+
+def test_fold_sum_adds_left_to_right():
+    # a pairwise sum of these gives 0.0; the left fold gives 1.0
+    values = np.array([1e16, 1.0, -1e16, 1.0] * 4)
+    x = ad.parameter(values)
+    total = ad.fold_sum(x)
+    assert total.item() == 1.0 and np.sum(values) != 1.0
+    ad.mul(total, ad.constant(3.0)).backward()
+    assert np.array_equal(x.grad, np.full(16, 3.0))

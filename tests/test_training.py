@@ -219,23 +219,69 @@ def test_td_loss_equals_per_item_reference():
         assert np.array_equal(got[2][name], want[2][name]), name
 
 
-def test_all_done_batch_runs_no_union_forward(monkeypatch):
+def c07_batch():
+    """The all-done TINY 3x2 batch of acceptance check c07."""
+    inst = generate_instance(3, 2, seed=1)
+    env = EnvHandle(lambda rng: inst, ActionSpace.ANP, t_max=3, seed=9)
+    return collect([env], None, 1.0, 33, np.random.default_rng(7), n_step=3)[:32]
+
+
+def desk_buffer_batch():
+    """32 transitions sampled from a replay buffer of desk-scale 6x6 runs."""
+    rng = np.random.default_rng(50)
+    env = EnvHandle(lambda r: generate_instance(6, 6, seed=int(r.integers(1 << 30))),
+                    ActionSpace.A, t_max=5, seed=51)
+    buffer = ReplayBuffer(capacity=200)
+    for tr in collect([env], None, 1.0, 120, rng, n_step=3):
+        buffer.add(tr)
+    batch = buffer.sample(32, rng)[1]
+    assert 0 < sum(tr.done for tr in batch) < len(batch)
+    return batch
+
+
+@pytest.mark.parametrize("make_batch, n_actions, config", [
+    (desk_buffer_batch, 2, GNNConfig.desk_scale()), (c07_batch, 10, TINY)])
+def test_td_loss_equals_reference_on_training_batches(make_batch, n_actions, config):
+    from oracles import reference_td_loss
+
+    batch = make_batch()
+    net = QNetwork(n_actions, config, seed=52)
+    target = QNetwork(n_actions, config, seed=53)
+    got = loss_and_grads(td_loss, batch, net, target, 54)
+    want = loss_and_grads(reference_td_loss, batch, net, target, 54)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    for name in net.params:
+        assert np.array_equal(got[2][name], want[2][name]), name
+
+
+def test_all_done_batch_runs_one_gradient_forward(monkeypatch):
     from oracles import reference_td_loss
 
     batch = mixed_batch(t_max=3, steps=12)
     assert all(tr.done for tr in batch)
     calls = []
     real = training.batch_q_values
-    monkeypatch.setattr(training, "batch_q_values",
-                        lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(training, "batch_q_values", lambda *a: calls.append(
+        (len(a[0]), training.ad._NO_GRAD)) or real(*a))
     net = QNetwork(10, TINY, seed=44)
     target = QNetwork(10, TINY, seed=45)
     got = loss_and_grads(td_loss, batch, net, target, 46)
+    # no bootstrap (no-grad) forward; one gradient forward over every item
+    assert calls == [(len(batch), False)]
     want = loss_and_grads(reference_td_loss, batch, net, target, 46)
-    assert calls == []
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     for name in net.params:
         assert np.array_equal(got[2][name], want[2][name]), name
+
+
+@pytest.mark.parametrize("n_weights", [3, 5, 1])
+def test_td_loss_needs_one_weight_per_item(n_weights):
+    batch = [fake_transition(tag) for tag in range(4)]
+    net = QNetwork(2, TINY, seed=0)
+    with pytest.raises(ValueError,
+                       match=rf"4 items but weights of shape \({n_weights},\)"):
+        td_loss(batch, np.ones(n_weights), net, net)
 
 
 @pytest.mark.parametrize("epsilon, policy", [(0.0, "net"), (0.5, "net"),
