@@ -19,7 +19,9 @@ import numpy as np
 
 from .core import Instance, Solution, build_graph, validate
 from .dispatch import DispatchRule, dispatch
-from .env import ActionSpace, reset as env_reset, step as env_step
+# env_reset and env_step are not called here, but perfbench/tracing.py patches
+# bench.env_reset and bench.env_step and fails on a name it cannot find
+from .env import ActionSpace, reset as env_reset, step as env_step  # noqa: F401
 from .metaheuristics import (ControllerKind, load_controller_config,
                              read_key_values, run)
 from .taillard import best_known, builtin_names, generate_instance, resolve_instance
@@ -183,19 +185,13 @@ def _run_one(args) -> ResultRow:
         solution, cost = result.best_solution, result.best_cost
     else:
         from .nn import load_checkpoint
-        from .nn import autodiff as ad
-        from .nn import q_values
+        from .training import run_policy
         net = load_checkpoint(checkpoint)
         if net.n_actions != parsed.n_actions:
             raise ValueError(
                 f"checkpoint has {net.n_actions} actions but method "
                 f"{method} needs {parsed.n_actions}")
-        state, obs = env_reset(instance, parsed, seed=seed, t_max=iterations)
-        taus = (np.arange(8) + 0.5) / 8
-        while not state.done:
-            with ad.no_grad():
-                _, q = q_values(obs, net, taus)
-            state, _, _, obs = env_step(state, int(np.argmax(q.data)))
+        [state] = run_policy(net, [instance], parsed, t_max=iterations, seed=seed)
         solution, cost = state.best_solution, state.best_cost
     seconds = time.perf_counter() - t0
 

@@ -11,7 +11,6 @@ episode sum telescopes to f(s_0) - f(s_best).
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -260,18 +259,6 @@ def step(state: EnvState, action: int
 
     state.t += 1
     return state, reward, state.done, observe(state)
-
-
-def write_trace(path, rows) -> None:
-    """Dump replayable step records, one JSON object per line."""
-    with open(path, "w") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, separators=(",", ":")) + "\n")
-
-
-def read_trace(path) -> list[dict]:
-    with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
 
 
 def rollout(instance: Instance, actions, action_space: ActionSpace,

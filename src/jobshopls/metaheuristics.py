@@ -110,8 +110,6 @@ class SearchView:
     pending_cost: Optional[int]
     best_cost: int
     stall: int
-    step: int
-    total_steps: int
 
     @property
     def delta(self) -> Optional[int]:
@@ -238,8 +236,6 @@ def run(config: Union[ControllerConfig, ControllerKind], instance: Instance,
             pending_cost=None if pending is None else pending.new_cost,
             best_cost=best_cost,
             stall=stall,
-            step=t,
-            total_steps=iterations,
         )
         decision = ctrl.decide(view)
 

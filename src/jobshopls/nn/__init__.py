@@ -5,9 +5,7 @@ from .qnetwork import (
     GNNConfig,
     QNetwork,
     encode,
-    greedy_action,
     load_checkpoint,
-    policy_probs,
     q_values,
     save_checkpoint,
 )
@@ -18,9 +16,7 @@ __all__ = [
     "GNNConfig",
     "QNetwork",
     "encode",
-    "greedy_action",
     "load_checkpoint",
-    "policy_probs",
     "q_values",
     "save_checkpoint",
 ]

@@ -15,9 +15,6 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy.special import erf
 
-# flipped on by tests that assert every intermediate stays finite
-CHECK_FINITE = False
-
 # while set, no tape is recorded (inference-only forwards)
 _NO_GRAD = False
 
@@ -47,8 +44,6 @@ class Tensor:
     def __init__(self, data: ArrayLike, requires_grad: bool = False,
                  parents: tuple = (), push=None):
         self.data = np.asarray(data, dtype=np.float64)
-        if CHECK_FINITE and not np.all(np.isfinite(self.data)):
-            raise FloatingPointError("non-finite values in tensor")
         self.grad: Optional[np.ndarray] = None
         if _NO_GRAD:
             self.requires_grad = False
@@ -61,13 +56,6 @@ class Tensor:
     @property
     def shape(self) -> tuple:
         return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    def item(self) -> float:
-        return float(self.data)
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
@@ -102,40 +90,8 @@ class Tensor:
             if node._push is not None and node.grad is not None:
                 node._push(node.grad)
 
-    # operator sugar; constants are wrapped on the fly
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, _wrap(-1.0))
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def constant(x: ArrayLike) -> Tensor:
@@ -184,26 +140,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.data * b.data, parents=(a, b), push=push)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    def push(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-    return Tensor(a.data / b.data, parents=(a, b), push=push)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("matmul expects 2-D tensors")
-    def push(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
-    return Tensor(a.data @ b.data, parents=(a, b), push=push)
-
-
 def _normal_cdf(x: np.ndarray) -> np.ndarray:
     """0.5 * (1 + erf(x / sqrt 2)), evaluated in a single buffer."""
     cdf = x * _INV_SQRT2
@@ -221,14 +157,6 @@ def gelu(x: Tensor) -> Tensor:
             pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
             x._accumulate(g * (cdf + x.data * pdf))
     return Tensor(x.data * cdf, parents=(x,), push=push)
-
-
-def sqrt(x: Tensor) -> Tensor:
-    out = np.sqrt(x.data)
-    def push(g):
-        if x.requires_grad:
-            x._accumulate(g * 0.5 / out)
-    return Tensor(out, parents=(x,), push=push)
 
 
 def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:

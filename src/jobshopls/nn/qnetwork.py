@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from itertools import accumulate
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -104,9 +104,6 @@ class QNetwork:
         self.params["dec.b1"] = ad.parameter(np.zeros(cfg.iqn_hidden))
         self.params["dec.w2"] = ad.parameter(_glorot(rng, cfg.iqn_hidden, self.n_actions))
         self.params["dec.b2"] = ad.parameter(np.zeros(self.n_actions))
-
-    def parameters(self) -> Iterable[tuple[str, Tensor]]:
-        return self.params.items()
 
     def n_parameters(self) -> int:
         return sum(p.data.size for p in self.params.values())
@@ -244,20 +241,6 @@ def q_values(obs: Observation, net: QNetwork,
     """Return quantile values (|taus| x |A|) and their mean Q (|A|,)."""
     z, q = batch_q_values([obs], net, [taus])
     return z, ad.reshape(q, (net.n_actions,))
-
-
-def greedy_action(obs: Observation, net: QNetwork,
-                  taus: np.ndarray) -> int:
-    """Argmax of the mean Q; first index wins ties."""
-    _, q = q_values(obs, net, taus)
-    return int(np.argmax(q.data))
-
-
-def policy_probs(q: np.ndarray) -> np.ndarray:
-    """Softmax over mean Q-values."""
-    q = np.asarray(q, dtype=np.float64)
-    e = np.exp(q - q.max())
-    return e / e.sum()
 
 
 def save_checkpoint(net: QNetwork, path) -> None:

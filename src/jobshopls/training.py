@@ -14,7 +14,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .core import Instance
-from .env import ActionSpace, Observation, reset as env_reset, step as env_step
+from .env import (ActionSpace, EnvState, Observation, reset as env_reset,
+                  step as env_step)
 from .nn import GNNConfig, QNetwork, q_values, save_checkpoint
 from .nn import autodiff as ad
 from .nn.qnetwork import batch_q_values
@@ -291,13 +292,16 @@ class TrainResult:
     log_path: Optional[Path] = None
 
 
-def evaluate(net: Optional[QNetwork], instances: Sequence[Instance],
-             action_space: ActionSpace, t_max: int, epsilon: float = 0.0,
-             seed: int = 0, k_taus: int = 8,
-             perturbation_strength: int = 3) -> np.ndarray:
-    """Best makespan per instance under the policy; greedy runs use fixed
-    quantile midpoints so repeat evaluation is bit-stable. The instances step
-    in lockstep, with one forward per step for all greedy ones."""
+def run_policy(net: Optional[QNetwork], instances: Sequence[Instance],
+               action_space: ActionSpace, t_max: int, epsilon: float = 0.0,
+               seed: int = 0, k_taus: int = 8,
+               perturbation_strength: int = 3) -> list[EnvState]:
+    """Roll the policy out on every instance; returns the final states.
+
+    Instance i resets with seed ``seed + i``. Greedy steps use fixed quantile
+    midpoints, so repeat runs are bit-stable, and break ties by the first
+    action. The instances step in lockstep, with one forward per step for all
+    greedy ones; without a net every action is drawn at random."""
     taus = (np.arange(k_taus) + 0.5) / k_taus
     resets = [env_reset(instance, action_space, seed=seed + i, t_max=t_max,
                         perturbation_strength=perturbation_strength)
@@ -316,6 +320,16 @@ def evaluate(net: Optional[QNetwork], instances: Sequence[Instance],
             actions.update(zip(greedy, q.data.argmax(axis=1).tolist()))
         for i in live:
             states[i], _, _, obs[i] = env_step(states[i], actions[i])
+    return states
+
+
+def evaluate(net: Optional[QNetwork], instances: Sequence[Instance],
+             action_space: ActionSpace, t_max: int, epsilon: float = 0.0,
+             seed: int = 0, k_taus: int = 8,
+             perturbation_strength: int = 3) -> np.ndarray:
+    """Best makespan per instance under the policy (see ``run_policy``)."""
+    states = run_policy(net, instances, action_space, t_max, epsilon, seed,
+                        k_taus, perturbation_strength)
     return np.array([state.best_cost for state in states], dtype=np.float64)
 
 

@@ -343,9 +343,10 @@ def reference_td_loss(batch, weights, net, target_net, k_taus=8, kp_taus=8,
             y = tr.g + gamma ** tr.steps * z_target.data[:, a_star]
 
         z, _ = reference_q_values(tr.obs, net, taus)
-        pick = np.zeros((net.n_actions, 1))
-        pick[tr.action, 0] = 1.0
-        z_a = ad.matmul(z, ad.constant(pick))
+        pick = np.zeros(net.n_actions)
+        pick[tr.action] = 1.0
+        # every other term of the sum is +-0, so z_a is exact
+        z_a = ad.tsum(ad.mul(z, ad.constant(pick)), axis=1, keepdims=True)
         delta = ad.sub(ad.constant(y[None, :]), z_a)
         indicator = (delta.data < 0.0).astype(np.float64)
         tau_weight = np.abs(taus[:, None] - indicator)

@@ -182,7 +182,7 @@ def test_c06_analytic_gradients_match_finite_differences():
     eps = 1e-5
     worst = 0.0
     n_entries = 0
-    for name, tensor in net.parameters():
+    for name, tensor in net.params.items():
         grad = tensor.grad
         flat = tensor.data.reshape(-1)
         gflat = grad.reshape(-1)

@@ -1,4 +1,7 @@
 """Reverse-mode autodiff: finite-difference checks per primitive."""
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -42,12 +45,6 @@ def test_elementwise_chain():
     check(lambda t: ad.tsum(ad.mul(t, ad.gelu(t))), (4, 3))
 
 
-def test_matmul_and_division():
-    w = ad.constant(np.random.default_rng(1).standard_normal((3, 2)))
-    check(lambda t: ad.tsum(ad.div(ad.matmul(t, w),
-                                   ad.constant(np.array(3.0)))), (5, 3))
-
-
 def test_gelu_matches_exact_formula():
     x = np.linspace(-4, 4, 41)
     got = ad.gelu(ad.constant(x)).data
@@ -61,11 +58,6 @@ def test_mean_max_and_gather():
         return ad.add(ad.tsum(ad.amax(picked, axis=0)),
                       ad.tmean(t))
     check(build, (4, 3))
-
-
-def test_sqrt_and_reshape():
-    check(lambda t: ad.tsum(ad.sqrt(ad.add(ad.mul(t, t),
-                                           ad.constant(np.array(1.0))))), (6,))
 
 
 def test_concat_splits_gradient():
@@ -242,6 +234,20 @@ def test_fold_sum_adds_left_to_right():
     values = np.array([1e16, 1.0, -1e16, 1.0] * 4)
     x = ad.parameter(values)
     total = ad.fold_sum(x)
-    assert total.item() == 1.0 and np.sum(values) != 1.0
+    assert float(total.data) == 1.0 and np.sum(values) != 1.0
     ad.mul(total, ad.constant(3.0)).backward()
     assert np.array_equal(x.grad, np.full(16, 3.0))
+
+
+def test_every_public_op_has_a_caller_in_the_package():
+    package = Path(ad.__file__).resolve().parent.parent
+    defined = {node.name for node in ast.parse(Path(ad.__file__).read_text()).body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    used = set()
+    for path in package.rglob("*.py"):
+        if path.resolve() == Path(ad.__file__).resolve():
+            continue
+        used |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name) and node.value.id == "ad"}
+    assert defined - used == set()

@@ -151,6 +151,27 @@ def test_policy_methods_run_with_checkpoint(tmp_path):
     assert all(r.cost > 0 for r in result.rows)
 
 
+@pytest.mark.parametrize("method", ["nls_a", "nls_anp"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_policy_rows_match_one_by_one_rollout(tmp_path, method, seed):
+    from oracles import reference_evaluate
+    from jobshopls.bench import _load_instance
+    from jobshopls.nn import QNetwork, GNNConfig, save_checkpoint
+    space = classify_method(method)[1]
+    net = QNetwork(space.n_actions, GNNConfig.desk_scale(), seed=4)
+    ck = tmp_path / "net.npz"
+    save_checkpoint(net, ck)
+    specs = ("ta01", "gen:6x6x2x3")
+    result = run_benchmark(BenchmarkConfig(
+        method=method, instances=specs, iterations=20, seed=seed,
+        checkpoint=str(ck)))
+    assert len(result.rows) == 3
+    for row, (label, spec) in zip(result.rows, expand_instance_specs(specs)):
+        expected = reference_evaluate(net, [_load_instance(label, spec)], space,
+                                      20, seed=seed)[0]
+        assert row.cost == expected
+
+
 def test_wrong_checkpoint_action_count_is_rejected(tmp_path):
     from jobshopls.nn import QNetwork, GNNConfig, save_checkpoint
     tiny = GNNConfig(d_emb=8, mlp_hidden=8, iqn_hidden=16, n_tau_features=8)

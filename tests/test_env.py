@@ -4,8 +4,8 @@ import pytest
 
 from jobshopls import build_graph, builtin_instance, env, generate_instance
 from jobshopls.dispatch import DispatchRule, dispatch
-from jobshopls.env import (ActionSpace, InvalidAction, Operator, observe,
-                           read_trace, reset, rollout, step, write_trace)
+from jobshopls.env import (ActionSpace, InvalidAction, Operator, observe, reset,
+                           rollout, step)
 
 
 def test_action_space_sizes():
@@ -136,14 +136,6 @@ def test_rollout_replay_is_bit_exact():
     b = rollout(inst, actions, ActionSpace.ANP, seed=11, t_max=30)
     assert a == b
     assert len(a) == 30
-
-
-def test_trace_round_trip(tmp_path):
-    inst = generate_instance(5, 5, seed=79)
-    rows = rollout(inst, [1] * 12, ActionSpace.A, seed=0, t_max=12)
-    p = tmp_path / "trace.ndjson"
-    write_trace(p, rows)
-    assert read_trace(p) == rows
 
 
 def test_observation_uses_pending_graph():

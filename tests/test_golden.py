@@ -7,14 +7,17 @@ print the current digests) and says so in CHANGES.md.
 import functools
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
 from jobshopls import builtin_instance, generate_instance
+from jobshopls.bench import BenchmarkConfig, classify_method, run_benchmark
 from jobshopls.dispatch import DispatchRule, dispatch, stochastic_dispatch
 from jobshopls.env import ActionSpace, rollout
 from jobshopls.metaheuristics import ControllerKind, run
-from jobshopls.nn import GNNConfig, QNetwork
+from jobshopls.nn import GNNConfig, QNetwork, save_checkpoint
 from jobshopls.training import evaluate
 
 DISPATCH_INSTANCES = {
@@ -42,6 +45,10 @@ ROLLOUT_INSTANCES = {
 # the acceptance check's controller grid
 GRID_KINDS = ("sa", "ils", "vns")
 GRID_INSTANCES = tuple(f"ta{i:02d}" for i in range(1, 11))
+# the bench policy path: ta01 and two random 6x6, short runs
+BENCH_METHODS = ("nls_a", "nls_anp")
+BENCH_INSTANCES = ("ta01", "gen:6x6x2x3")
+BENCH_ITERATIONS = 20
 
 DIGESTS = {
     "dispatch/ta01":
@@ -86,6 +93,10 @@ DIGESTS = {
         "8b7e41c1bc9c50d261c226cb199f748618da01ea957e2e3f75d0859b5d768893",
     "evaluate/anp":
         "84b8a4fda1224486d874d9dd263c5f51d1684da695647410316b128686e728a0",
+    "bench/nls_a":
+        "b2ddf7e01fb11c711293e9bbbdc0fe522d7b68fbba7682cd16f52375fe996fb9",
+    "bench/nls_anp":
+        "2d3f04d507ca2c890abc8f21a87567e5f9e8ff5be82aa56d26617b564137b9f9",
 }
 
 
@@ -146,6 +157,24 @@ def evaluate_fingerprint(space: ActionSpace) -> str:
     return _digest(evaluate(net, instances, space, t_max=10).tolist())
 
 
+def bench_rows(method: str, seed: int) -> list:
+    """``run_benchmark`` rows of an untrained desk-scale net; with net seed 4
+    the ANP policy perturbs, so its rows depend on the run seed."""
+    space = classify_method(method)[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        ck = Path(tmp) / "net.npz"
+        save_checkpoint(QNetwork(space.n_actions, GNNConfig.desk_scale(), seed=4), ck)
+        return run_benchmark(BenchmarkConfig(
+            method=method, instances=BENCH_INSTANCES,
+            iterations=BENCH_ITERATIONS, seed=seed, checkpoint=str(ck))).rows
+
+
+def bench_fingerprint(method: str) -> str:
+    """Cost and machine orders of every bench row, with seeds 0 and 1."""
+    return _digest([[seed, row.instance, row.cost, row.solution.machine_seq]
+                    for seed in (0, 1) for row in bench_rows(method, seed)])
+
+
 def current_digests() -> dict:
     out = {f"dispatch/{name}": dispatch_fingerprint(name)
            for name in DISPATCH_INSTANCES}
@@ -158,6 +187,8 @@ def current_digests() -> dict:
                 for space in ROLLOUT_ACTIONS for name in ROLLOUT_INSTANCES})
     out.update({f"evaluate/{space.value}": evaluate_fingerprint(space)
                 for space in (ActionSpace.A, ActionSpace.ANP)})
+    out.update({f"bench/{method}": bench_fingerprint(method)
+                for method in BENCH_METHODS})
     return out
 
 
@@ -191,6 +222,11 @@ def test_space_rollout_fingerprint(space, name):
                          ids=lambda s: s.value)
 def test_evaluate_fingerprint(space):
     assert evaluate_fingerprint(space) == DIGESTS[f"evaluate/{space.value}"]
+
+
+@pytest.mark.parametrize("method", BENCH_METHODS)
+def test_bench_policy_fingerprint(method):
+    assert bench_fingerprint(method) == DIGESTS[f"bench/{method}"]
 
 
 if __name__ == "__main__":

@@ -5,8 +5,7 @@ import pytest
 from jobshopls import builtin_instance, generate_instance
 from jobshopls.env import ActionSpace, Observation, reset, step
 from jobshopls.nn import (GNNConfig, QNetwork, autodiff as ad, encode,
-                          greedy_action, load_checkpoint, policy_probs, q_values,
-                          save_checkpoint)
+                          load_checkpoint, q_values, save_checkpoint)
 from jobshopls.nn.qnetwork import _gnn_layer, batch_q_values
 
 TINY = GNNConfig(d_emb=8, mlp_hidden=8, iqn_hidden=16, n_tau_features=8)
@@ -65,23 +64,6 @@ def test_single_tau_mean_is_identity():
     net = QNetwork(10, TINY, seed=6)
     z, q = q_values(obs, net, np.array([0.5]))
     assert np.allclose(q.data, z.data[0])
-
-
-def test_greedy_action_matches_argmax_of_q():
-    obs = small_obs(8)
-    net = QNetwork(10, TINY, seed=21)
-    taus = np.array([0.2, 0.5, 0.8])
-    _, q = q_values(obs, net, taus)
-    assert greedy_action(obs, net, taus) == int(np.argmax(q.data))
-
-
-def test_policy_probs_is_a_distribution():
-    obs = small_obs(2)
-    net = QNetwork(10, TINY, seed=7)
-    _, q = q_values(obs, net, np.array([0.25, 0.75]))
-    p = policy_probs(q.data)
-    assert p.shape == (10,)
-    assert np.all(p > 0) and abs(p.sum() - 1.0) < 1e-12
 
 
 def test_node_permutation_equivariance():
