@@ -51,7 +51,7 @@ class BenchmarkConfig:
             raise ValueError("format must be csv or table")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        classify_method(self.method)  # fail fast on unknown methods
+        # raises on an unknown method
         if (classify_method(self.method)[0] == "policy"
                 and self.checkpoint is None):
             raise ValueError(f"method {self.method} needs a checkpoint")

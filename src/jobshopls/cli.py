@@ -27,14 +27,14 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("config", nargs="?",
                        help="key=value config file; omit to use flags only")
     bench.add_argument("--method")
-    bench.add_argument("--instances", nargs="*", default=None,
+    bench.add_argument("--instances", nargs="*",
                        help="names, files, ta01-ta10 ranges, gen:JxMxCOUNTxSEED")
-    bench.add_argument("--iters", type=int, default=None)
-    bench.add_argument("--seed", type=int, default=None)
+    bench.add_argument("--iters", type=int)
+    bench.add_argument("--seed", type=int)
     bench.add_argument("--checkpoint")
     bench.add_argument("--out")
-    bench.add_argument("--format", choices=("csv", "table"), default=None)
-    bench.add_argument("--jobs", type=int, default=None)
+    bench.add_argument("--format", choices=("csv", "table"))
+    bench.add_argument("--jobs", type=int)
 
     train = sub.add_parser("train", help="train a policy network")
     train.add_argument("--out", required=True, help="checkpoint/log directory")
@@ -81,41 +81,30 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+# bench flag (argparse dest) -> the BenchmarkConfig field it sets
+_BENCH_FIELDS = {"method": "method", "instances": "instances",
+                 "iters": "iterations", "seed": "seed",
+                 "checkpoint": "checkpoint", "out": "out", "format": "fmt",
+                 "jobs": "jobs"}
+
+
 def _cmd_bench(args) -> int:
     from .bench import BenchmarkConfig, load_benchmark_config, run_benchmark
+    # an unset flag (or --instances without names) keeps the config file's
+    # value, or the field's default in flags-only mode
+    overrides = {field: getattr(args, flag)
+                 for flag, field in _BENCH_FIELDS.items()
+                 if getattr(args, flag) not in (None, [])}
+    if "instances" in overrides:
+        overrides["instances"] = tuple(overrides["instances"])
     if args.config:
-        config = load_benchmark_config(args.config)
-        overrides = {}
-        if args.method:
-            overrides["method"] = args.method
-        if args.instances:
-            overrides["instances"] = tuple(args.instances)
-        if args.iters is not None:
-            overrides["iterations"] = args.iters
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.checkpoint:
-            overrides["checkpoint"] = args.checkpoint
-        if args.out:
-            overrides["out"] = args.out
-        if args.format:
-            overrides["fmt"] = args.format
-        if args.jobs is not None:
-            overrides["jobs"] = args.jobs
-        if overrides:
-            config = replace(config, **overrides)
+        config = replace(load_benchmark_config(args.config), **overrides)
+    elif "method" in overrides and "instances" in overrides:
+        config = BenchmarkConfig(**overrides)
     else:
-        if not args.method or not args.instances:
-            print("bench without a config file needs --method and --instances",
-                  file=sys.stderr)
-            return 2
-        config = BenchmarkConfig(
-            method=args.method, instances=tuple(args.instances),
-            iterations=args.iters if args.iters is not None else 100,
-            seed=args.seed if args.seed is not None else 0,
-            checkpoint=args.checkpoint, out=args.out,
-            fmt=args.format or "csv",
-            jobs=args.jobs if args.jobs is not None else 1)
+        print("bench without a config file needs --method and --instances",
+              file=sys.stderr)
+        return 2
     result = run_benchmark(config)
     print(result.table() if config.fmt == "table" else result.csv(), end="")
     return 0

@@ -3,16 +3,17 @@
 The agent steers the search per move: its accept bit settles the pending
 proposal from the previous LS step, then its operator choice produces the
 next proposal (or a perturbation instead, in the largest action space).
-Observations describe the working state, i.e. the schedule with the pending
-proposal applied, since that is what the accept decision is about. Rewards
-are improvements of the best committed cost, clamped at zero, so their
-episode sum telescopes to f(s_0) - f(s_best).
+``transition`` is that step; the controllers in ``metaheuristics`` take it
+too. Observations describe the working state, i.e. the schedule with the
+pending proposal applied, since that is what the accept decision is about.
+Rewards are improvements of the best committed cost, never negative, so
+their episode sum telescopes to f(s_0) - f(s_best).
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -113,10 +114,10 @@ class EnvState:
     t: int
     t_max: int
     stall: int
-    n_perturbations: int
+    n_perturbations: int      # jumps: perturbations (and a controller's restarts)
     last_accept: int
     last_operator: Operator
-    perturbation_strength: int
+    perturbation: Perturbation
     rng: np.random.Generator
     nbr_stat: np.ndarray = field(repr=False, default=None)
     # the graph whose ls_step under last_operator gave ``pending``; None
@@ -187,16 +188,12 @@ def reset(instance: Instance, action_space: ActionSpace = ActionSpace.ANP,
     rng = np.random.default_rng(seed)
     graph = build_graph(instance, dispatch(instance, DispatchRule.FDD_over_MWKR))
     init_cost = graph.makespan
-
-    out = ls_step(graph, Operator.CT)
-    pending = out if isinstance(out, Proposal) else None
-
     job_ids = np.arange(instance.n_ops).reshape(instance.n_jobs, instance.n_machines)
     state = EnvState(
         instance=instance,
         action_space=action_space,
         graph=graph,
-        pending=pending,
+        pending=None,
         best_cost=init_cost,
         best_graph=graph,
         init_cost=init_cost,
@@ -206,58 +203,78 @@ def reset(instance: Instance, action_space: ActionSpace = ActionSpace.ANP,
         n_perturbations=0,
         last_accept=0,
         last_operator=Operator.CT,
-        perturbation_strength=perturbation_strength,
+        perturbation=Perturbation(strength=perturbation_strength),
         rng=rng,
         nbr_stat=_chain_neighbors(job_ids, instance.n_ops),
-        pending_from=graph,
     )
+    _propose(state, Operator.CT)
     return state, observe(state)
 
 
-def step(state: EnvState, action: int
-         ) -> tuple[EnvState, float, bool, Observation]:
-    """Settle the pending proposal, then produce the next one.
+def _propose(state: EnvState, operator: Operator) -> None:
+    """Set ``pending`` to the LS step with ``operator`` from the committed graph."""
+    # ls_step is a pure function of (graph, operator): keep the pending
+    # result while both are unchanged
+    if state.pending_from is not state.graph or operator is not state.last_operator:
+        out = ls_step(state.graph, operator)
+        state.pending = out if isinstance(out, Proposal) else None
+        state.pending_from = state.graph
+    state.last_operator = operator
 
-    The reward compares the best committed cost so far against the committed
-    cost after this step's accept/revert (and perturbation, if chosen); the
-    freshly created proposal stays pending and does not count until it is
-    accepted.
+
+def transition(state: EnvState, accept: bool, operator: Optional[Operator],
+               jump: Optional[Callable[[SearchGraph], SearchGraph]] = None
+               ) -> EnvState:
+    """One search step, shared by ``step`` and the controllers' ``run``.
+
+    Settle the pending proposal, apply ``jump`` (a perturbation or a restart)
+    to the settled graph, take the LS step with ``operator``, then credit the
+    best cost and the stall count. With ``operator`` None, as in the ANP
+    perturbation action, the jump replaces the LS step: it leaves nothing
+    pending and only the jumped graph is credited. When an operator follows
+    the jump, as in the controllers, the settled graph is credited first, and
+    the jump restarts the stall count.
     """
-    if state.done:
-        raise InvalidAction("episode is over; call reset")
-    accept, operator, wants_pert = state.action_space.decode(action)
-
     # rejecting keeps state.graph: ls_step never changes it
     if state.pending is not None and accept:
         state.graph = state.pending.graph
     state.last_accept = int(accept)
 
-    if wants_pert:
-        state.graph = perturb(
-            state.graph, Perturbation(strength=state.perturbation_strength),
-            state.rng)
+    settled = state.graph
+    if jump is not None:
+        state.graph = jump(settled)
         state.n_perturbations += 1
+    if operator is None:
         state.pending = state.pending_from = None
     else:
-        # ls_step is a pure function of (graph, operator): keep the pending
-        # result while both are unchanged
-        if (state.pending_from is not state.graph
-                or operator is not state.last_operator):
-            out = ls_step(state.graph, operator)
-            state.pending = out if isinstance(out, Proposal) else None
-            state.pending_from = state.graph
-        state.last_operator = operator
+        _propose(state, operator)
 
-    committed = state.graph.makespan
-    reward = float(max(state.best_cost - committed, 0))
-    if committed < state.best_cost:
-        state.best_cost = committed
-        state.best_graph = state.graph
-        state.stall = 0
-    else:
-        state.stall += 1
-
+    followed = jump is not None and operator is not None
+    best_before = state.best_cost
+    for graph in (settled, state.graph) if followed else (state.graph,):
+        if graph.makespan < state.best_cost:
+            state.best_cost, state.best_graph = graph.makespan, graph
+    state.stall = 0 if followed or state.best_cost < best_before else state.stall + 1
     state.t += 1
+    return state
+
+
+def step(state: EnvState, action: int
+         ) -> tuple[EnvState, float, bool, Observation]:
+    """Decode the action, run one ``transition``, observe.
+
+    The reward is the improvement of the best committed cost; the new
+    proposal stays pending and does not count until it is accepted.
+    """
+    if state.done:
+        raise InvalidAction("episode is over; call reset")
+    accept, operator, wants_pert = state.action_space.decode(action)
+    jump = None
+    if wants_pert:
+        jump = lambda graph: perturb(graph, state.perturbation, state.rng)
+    best_before = state.best_cost
+    transition(state, accept, operator, jump)
+    reward = float(best_before - state.best_cost)
     return state, reward, state.done, observe(state)
 
 

@@ -1,9 +1,10 @@
-"""Hand-coded single-solution controllers over the LS step.
+"""Hand-coded single-solution controllers over the search transition.
 
-SA, SA with restarts, ILS, ILS+SA and VNS all drive the same loop: look at
-the pending proposal from the last ``ls_step``, decide accept/revert, decide
-whether to perturb or restart, pick the next operator. That is exactly the
-action interface the learned policies use, so iteration budgets compare
+SA, SA with restarts, ILS, ILS+SA and VNS are policies in the environment's
+MDP: each looks at the pending proposal from the last ``ls_step``, decides
+accept/revert, decides whether to perturb or restart, and picks the next
+operator. ``run`` hands each decision to ``env.transition``, the step the
+learned policies take through ``env.step``, so iteration budgets compare
 one-to-one.
 """
 from __future__ import annotations
@@ -17,15 +18,13 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .core import Instance, Solution, build_graph
-from .dispatch import DispatchRule, dispatch, stochastic_dispatch
-from .neighborhood import (
-    OPERATOR_ORDER,
-    Operator,
-    Perturbation,
-    Proposal,
-    ls_step,
-    perturb,
-)
+from .dispatch import DispatchRule, stochastic_dispatch
+from .env import reset as env_reset, transition
+from .neighborhood import OPERATOR_ORDER, Operator, Perturbation, perturb
+# not called here, but perfbench/tracing.py patches metaheuristics.dispatch
+# and metaheuristics.ls_step and fails on a name it cannot find
+from .dispatch import dispatch  # noqa: F401
+from .neighborhood import ls_step  # noqa: F401
 
 
 class ControllerKind(enum.Enum):
@@ -66,6 +65,8 @@ class ControllerConfig:
             raise ValueError("stall thresholds must be >= 1")
         if self.strength < 1:
             raise ValueError("perturbation strength must be >= 1")
+        if not 0.0 <= self.restart_noise <= 1.0:
+            raise ValueError("restart_noise must be in [0, 1]")
         if sorted(o.value for o in self.operator_order) != \
                 sorted(o.value for o in OPERATOR_ORDER):
             raise ValueError("operator_order must be a permutation of the operator set")
@@ -82,17 +83,12 @@ class ControllerConfig:
         return cls(kind=kind)
 
 
-class RestartRequest(NamedTuple):
-    rule: DispatchRule
-    noise: float
-
-
 @dataclass
 class ControllerDecision:
     accept_last: bool
     next_operator: Operator
     perturb: Optional[Perturbation] = None
-    restart: Optional[RestartRequest] = None
+    restart: Optional[float] = None    # FDD/MWKR top-3 sampling noise
 
     def __post_init__(self):
         if self.perturb is not None and self.restart is not None:
@@ -122,11 +118,9 @@ class Controller:
     """Decision rule + mutable annealing/cursor state."""
 
     def __init__(self, config: ControllerConfig, init_cost: int,
-                 iterations: int, rng: np.random.Generator,
-                 init_rule: DispatchRule = DispatchRule.FDD_over_MWKR):
+                 iterations: int, rng: np.random.Generator):
         self.config = config
         self.rng = rng
-        self.init_rule = init_rule
         self.temperature = config.t0 * init_cost
         if config.alpha_t is not None:
             self.alpha_t = config.alpha_t
@@ -152,7 +146,7 @@ class Controller:
             self.temperature *= self.alpha_t
             restart = None
             if kind is ControllerKind.SA_RESTART and view.stall >= cfg.restart_after:
-                restart = RestartRequest(self.init_rule, cfg.restart_noise)
+                restart = cfg.restart_noise
             return ControllerDecision(accept, Operator.CET, restart=restart)
 
         if kind in (ControllerKind.ILS, ControllerKind.ILS_SA):
@@ -199,84 +193,46 @@ class RunResult:
 
 
 def run(config: Union[ControllerConfig, ControllerKind], instance: Instance,
-        init_rule: DispatchRule = DispatchRule.FDD_over_MWKR,
         iterations: int = 100, seed: Optional[int] = None) -> RunResult:
-    """Construct, then iterate decide -> accept/revert -> perturb? -> ls_step.
+    """Construct, then iterate decide -> ``env.transition`` -> trace row.
 
     One iteration is one controller decision plus one LS step, the same
     budget unit the learned policies consume. Deterministic given the seed.
     """
     if isinstance(config, ControllerKind):
         config = ControllerConfig.for_kind(config)
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
     rng = np.random.default_rng(seed)
+    # construction once took its seed from this draw; FDD/MWKR ignores it,
+    # but discarding it keeps every later draw (SA coin flips, perturbations,
+    # restarts) where it was
+    rng.integers(1 << 31)
+    state, _ = env_reset(instance, seed=rng, t_max=iterations)
+    ctrl = Controller(config, state.init_cost, iterations, rng)
 
-    graph = build_graph(instance, dispatch(instance, init_rule,
-                                           seed=int(rng.integers(1 << 31))))
-    init_cost = graph.makespan
-    best_cost = init_cost
-    best_graph = graph
-
-    ctrl = Controller(config, init_cost, iterations, rng, init_rule)
-
-    # first proposal, mirroring the environment's reset; ls_step is a pure
-    # function of (graph, operator), so ``out`` is reused until either changes
-    stepped = (graph, Operator.CT)
-    out = ls_step(*stepped)
-    pending = out if isinstance(out, Proposal) else None
-
-    committed_cost = graph.makespan
-    stall = 0
     trace: list[TraceRow] = []
-
-    for t in range(1, iterations + 1):
-        view = SearchView(
-            committed_cost=committed_cost,
+    while not state.done:
+        pending = state.pending
+        decision = ctrl.decide(SearchView(
+            committed_cost=state.graph.makespan,
             pending_cost=None if pending is None else pending.new_cost,
-            best_cost=best_cost,
-            stall=stall,
-        )
-        decision = ctrl.decide(view)
-
-        # rejecting keeps ``graph``: ls_step never changes it
-        if pending is not None and decision.accept_last:
-            graph = pending.graph
-        committed_cost = graph.makespan
-
-        if committed_cost < best_cost:
-            best_cost, best_graph = committed_cost, graph
-            stall = 0
-        else:
-            stall += 1
-
-        event = ""
+            best_cost=state.best_cost,
+            stall=state.stall,
+        ))
+        event, jump = "", None
         if decision.restart is not None:
-            graph = build_graph(instance, stochastic_dispatch(
-                instance, decision.restart.rule, decision.restart.noise,
-                seed=int(rng.integers(1 << 31))))
-            committed_cost = graph.makespan
-            stall = 0
             event = "restart"
+            jump = lambda _: build_graph(instance, stochastic_dispatch(
+                instance, DispatchRule.FDD_over_MWKR, decision.restart,
+                seed=int(rng.integers(1 << 31))))
         elif decision.perturb is not None:
-            graph = perturb(graph, decision.perturb, rng)
-            committed_cost = graph.makespan
-            stall = 0
-            event = "perturb"
-        if committed_cost < best_cost:
-            best_cost, best_graph = committed_cost, graph
+            event, jump = "perturb", lambda graph: perturb(graph, decision.perturb, rng)
+        transition(state, decision.accept_last, decision.next_operator, jump)
+        trace.append(TraceRow(state.t, decision.next_operator.value,
+                              decision.accept_last, state.graph.makespan,
+                              state.best_cost, event))
 
-        if stepped[0] is not graph or stepped[1] is not decision.next_operator:
-            stepped = (graph, decision.next_operator)
-            out = ls_step(*stepped)
-            pending = out if isinstance(out, Proposal) else None
-
-        trace.append(TraceRow(t, decision.next_operator.value,
-                              decision.accept_last, committed_cost,
-                              best_cost, event))
-
-    return RunResult(best_solution=best_graph.solution(), best_cost=best_cost,
-                     trace=trace)
+    return RunResult(best_solution=state.best_solution,
+                     best_cost=state.best_cost, trace=trace)
 
 
 def read_key_values(path, fields: dict) -> dict:

@@ -109,6 +109,8 @@ class TrainConfig:
             raise ValueError("bad epoch sizing")
         if self.n_step < 1 or self.t_max < 1:
             raise ValueError("n_step and t_max must be >= 1")
+        if self.perturbation_strength < 0:
+            raise ValueError("perturbation_strength must be >= 0")
 
     def epsilon(self, global_step: int) -> float:
         """Linear decay over the whole collection budget."""

@@ -75,6 +75,37 @@ def test_bench_config_file_with_overrides(tmp_path, capsys):
     assert "group 15x15" in out
 
 
+def test_bench_flags_set_config_fields(tmp_path, capsys, monkeypatch):
+    import jobshopls.bench as bench
+    seen = []
+    monkeypatch.setattr(bench, "run_benchmark",
+                        lambda config: seen.append(config) or bench.BenchmarkResult())
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text("method = spt\ninstances = ta01\niterations = 7\nseed = 3\n"
+                   "checkpoint = a.npz\nout = a.csv\nformat = table\njobs = 2\n"
+                   "controller_file = c.cfg\n")
+    flags = ["--method", "fdd/mwkr", "--instances", "ta02", "ta03",
+             "--iters", "9", "--seed", "4", "--checkpoint", "b.npz",
+             "--out", "b.csv", "--format", "csv", "--jobs", "3"]
+    assert main(["bench", str(cfg)]) == 0
+    assert main(["bench", str(cfg)] + flags) == 0
+    loaded, overridden = seen
+    want = bench.BenchmarkConfig(
+        method="fdd/mwkr", instances=("ta02", "ta03"), iterations=9, seed=4,
+        checkpoint="b.npz", out="b.csv", fmt="csv", jobs=3,
+        controller_file="c.cfg")
+    assert overridden == want
+    # every flag moved its field away from the file's value
+    for name in ("method", "instances", "iterations", "seed", "checkpoint",
+                 "out", "fmt", "jobs"):
+        assert getattr(loaded, name) != getattr(want, name), name
+
+    # flags-only mode leaves the rest at BenchmarkConfig's defaults
+    assert main(["bench", "--method", "spt", "--instances", "ta01"]) == 0
+    assert seen[-1] == bench.BenchmarkConfig(method="spt", instances=("ta01",))
+    capsys.readouterr()
+
+
 def test_bench_without_config_or_method_errors(capsys):
     assert main(["bench"]) == 2
     assert "needs --method" in capsys.readouterr().err

@@ -29,6 +29,16 @@ def test_deterministic_rules_are_reproducible():
     assert a.machine_seq == b.machine_seq
 
 
+def test_fdd_mwkr_ignores_its_seed():
+    # metaheuristics.run constructs through env.reset, which passes no seed
+    for inst in (builtin_instance("ta01"), generate_instance(6, 6, seed=5),
+                 generate_instance(8, 4, seed=2)):
+        ref = dispatch(inst, DispatchRule.FDD_over_MWKR)
+        for seed in (0, 1, 12345, (1 << 31) - 1):
+            sol = dispatch(inst, DispatchRule.FDD_over_MWKR, seed=seed)
+            assert sol.machine_seq == ref.machine_seq, (inst.name, seed)
+
+
 def test_random_rule_is_seeded():
     inst = generate_instance(8, 8, seed=1)
     a = dispatch(inst, DispatchRule.RND, seed=5)

@@ -102,6 +102,16 @@ def test_best_cost_matches_best_solution():
     assert build_graph(inst, state.best_solution).makespan == state.best_cost
 
 
+def test_negative_perturbation_strength_is_rejected_at_reset():
+    inst = generate_instance(3, 3, seed=61)
+    with pytest.raises(ValueError, match="perturbation strength must be >= 0"):
+        reset(inst, ActionSpace.ANP, seed=0, perturbation_strength=-1)
+    state, _ = reset(inst, ActionSpace.ANP, seed=0, perturbation_strength=0)
+    graph = state.graph
+    state, *_ = step(state, 4)       # reject + perturb by zero moves
+    assert state.graph is graph
+
+
 def test_step_after_done_raises():
     inst = generate_instance(3, 3, seed=61)
     state, _ = reset(inst, ActionSpace.A, seed=0, t_max=1)
@@ -156,5 +166,6 @@ def test_repeated_rejects_reuse_the_pending_proposal(record_ls_steps):
     rows = rollout(builtin_instance("ta01"), (0, 0, 0, 1) * 25, ActionSpace.A,
                    seed=0)
     assert len(rows) == 100
+    assert calls
     assert not any(a[0] is b[0] and a[1] is b[1] for a, b in zip(calls, calls[1:]))
     assert len(calls) < 100 + 1

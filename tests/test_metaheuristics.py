@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jobshopls import (Instance, build_graph, builtin_instance, generate_instance,
-                       metaheuristics, validate)
+from jobshopls import (Instance, build_graph, builtin_instance, env,
+                       generate_instance, validate)
 from jobshopls.dispatch import DispatchRule, dispatch
 from jobshopls.metaheuristics import (ControllerConfig, ControllerKind,
                                       load_controller_config, run)
@@ -103,6 +103,8 @@ def test_controller_config_errors_name_the_line(tmp_path):
         ("kind = vns\noperator_order = ct cet\n",
          f"{p}: operator_order must be a permutation"),
         ("t0 = 0.1\n", f"{p}: missing required key 'kind'"),
+        ("kind = sa_restart\nrestart_noise = 1.5\n",
+         f"{p}: restart_noise must be in [0, 1]"),
     ]
     for text, message in cases:
         p.write_text(text)
@@ -120,10 +122,11 @@ def test_explicit_config_object_is_honoured():
 
 @pytest.mark.parametrize("kind", list(ControllerKind))
 def test_run_computes_each_ls_step_once(record_ls_steps, kind):
-    calls = record_ls_steps(metaheuristics)
+    calls = record_ls_steps(env)     # run steps through env.transition
     for seed in (0, 1, 2):
         calls.clear()
         run(kind, builtin_instance("ta01"), iterations=100, seed=seed)
+        assert calls, seed
         # the recorded graphs stay alive, so identity cannot match a recycled id
         assert not any(a[0] is b[0] and a[1] is b[1]
                        for a, b in zip(calls, calls[1:])), seed

@@ -284,6 +284,12 @@ def test_td_loss_needs_one_weight_per_item(n_weights):
         td_loss(batch, np.ones(n_weights), net, net)
 
 
+def test_negative_perturbation_strength_is_rejected_up_front():
+    with pytest.raises(ValueError, match="perturbation_strength must be >= 0"):
+        TrainConfig(perturbation_strength=-2)
+    TrainConfig(perturbation_strength=0)
+
+
 @pytest.mark.parametrize("epsilon, policy", [(0.0, "net"), (0.5, "net"),
                                              (0.0, "random")])
 def test_lockstep_evaluate_equals_sequential_reference(epsilon, policy):
