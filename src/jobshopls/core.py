@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -168,6 +168,9 @@ class SearchGraph:
     job_succ: tuple
     mach_pred: list
     mach_succ: list
+    topo: list                # real ops in the topological order of the build
+    end: list                 # h + p
+    out: list                 # q + p
 
     def solution(self) -> Solution:
         """The machine orders as OpId lists."""
@@ -241,62 +244,95 @@ def build_graph(instance: Instance, solution) -> SearchGraph:
     ``solution`` is a Solution or an (M, J) array of flat op ids.
     """
     n = instance.n_ops
-    source, sink = n, n + 1
     seqs = _checked_order(instance, solution)
-    pl, jp, js, _ = instance.flat_ops
-    mach_pred = np.full(n + 2, source, dtype=np.int64)
-    mach_succ = np.full(n + 2, sink, dtype=np.int64)
+    mach_pred = np.full(n + 2, n, dtype=np.int64)      # the virtual source
+    mach_succ = np.full(n + 2, n + 1, dtype=np.int64)  # the virtual sink
     mach_pred[seqs[:, 1:].reshape(-1)] = seqs[:, :-1].reshape(-1)
     mach_succ[seqs[:, :-1].reshape(-1)] = seqs[:, 1:].reshape(-1)
-    mp, ms = mach_pred.tolist(), mach_succ.tolist()
+    return _longest_paths(instance, seqs, mach_pred.tolist(), mach_succ.tolist(),
+                          None, 0, n)
 
-    # Both longest-path passes run on Python ints: indexing lists is several
-    # times faster than indexing numpy arrays one scalar at a time.
-    # end[v] = head[v] + p[v] and out[v] = tail[v] + p[v]; the virtual slots
-    # stay 0.
-    # Kahn's algorithm over the real ops: an op is queued once both of its
-    # predecessors are done; failure to drain means a cycle.
-    done = [False] * (n + 2)
-    done[source] = True
-    queue = [v for v in range(n) if jp[v] == source and mp[v] == source]
-    order = []
-    head, end = [0] * (n + 2), [0] * (n + 2)
+
+def move_graph(graph: SearchGraph, machine: int, lo: int,
+               window: list) -> SearchGraph:
+    """Build the graph with ``machine``'s slots from ``lo`` on reordered to
+    ``window``; raises CyclicSolutionError if that schedule is infeasible.
+
+    Every arc that changes touches an old window op, and those ops lie in
+    order in ``graph.topo``, so only the stretch between them is re-sorted.
+    """
+    n = graph.instance.n_ops
+    first, last = graph.rows[machine][lo], graph.rows[machine][lo + len(window) - 1]
+    order = graph.mach_order.copy()
+    order[machine, lo:lo + len(window)] = window
+    seqs = _checked_order(graph.instance, order)
+    mp, ms = graph.mach_pred[:], graph.mach_succ[:]
+    chain = [mp[first], *window, ms[last]]
+    for u, v in zip(chain, chain[1:]):
+        ms[u], mp[v] = v, u
+    ms[n], mp[n + 1] = n + 1, n    # the virtual source and sink keep theirs
+    a = graph.topo.index(first)
+    return _longest_paths(graph.instance, seqs, mp, ms, graph, a,
+                          graph.topo.index(last, a) + 1)
+
+
+def _longest_paths(instance: Instance, seqs: np.ndarray, mp: list, ms: list,
+                   parent: Optional[SearchGraph], a: int, b: int) -> SearchGraph:
+    """The SearchGraph of machine orders ``seqs`` and machine neighbours mp/ms.
+
+    Only positions a..b-1 of ``parent.topo`` are re-sorted, and a cycle can
+    only lie among them; the parent's heads before them and tails after them
+    are kept. Without a parent every op is sorted and nothing is kept.
+    """
+    n = instance.n_ops
+    pl, jp, js, _ = instance.flat_ops
+    if parent is None:
+        topo = list(range(n))
+        head, end, tail, out = ([0] * (n + 2) for _ in range(4))
+    else:
+        topo = parent.topo
+        head, end, tail, out = parent.h[:], parent.end[:], parent.q[:], parent.out[:]
+
+    # Kahn's algorithm over the slice: an op is queued once both of its
+    # predecessors are done (all outside the slice are); a cycle stops it.
+    part = topo[a:b]
+    done = [True] * (n + 2)
+    for v in part:
+        done[v] = False
+    queue = [v for v in part if done[jp[v]] and done[mp[v]]]
+    resorted = []
     while queue:
         v = queue.pop()
-        order.append(v)
+        resorted.append(v)
         done[v] = True
-        a, b = end[jp[v]], end[mp[v]]
-        a = a if a > b else b
-        head[v] = a
-        end[v] = a + pl[v]
         u = js[v]
-        if u < n and done[mp[u]]:
+        if not done[u] and done[mp[u]]:
             queue.append(u)
         u = ms[v]
-        if u < n and done[jp[u]]:
+        if not done[u] and done[jp[u]]:
             queue.append(u)
-    if len(order) != n:
+    if len(resorted) != b - a:
         raise CyclicSolutionError("machine sequences conflict with job routes")
+    topo = topo[:a] + resorted + topo[b:]
 
-    tail, out = [0] * (n + 2), [0] * (n + 2)
-    for v in reversed(order):
-        a, b = out[js[v]], out[ms[v]]
-        a = a if a > b else b
-        tail[v] = a
-        out[v] = a + pl[v]
+    # Both longest-path passes run on Python ints: indexing lists is several
+    # times faster than indexing numpy arrays one scalar at a time. The
+    # virtual slots stay 0.
+    for v in topo[a:]:
+        x, y = end[jp[v]], end[mp[v]]
+        x = x if x > y else y
+        head[v] = x
+        end[v] = x + pl[v]
+    for v in reversed(topo[:b]):
+        x, y = out[js[v]], out[ms[v]]
+        x = x if x > y else y
+        tail[v] = x
+        out[v] = x + pl[v]
 
-    return SearchGraph(
-        instance=instance,
-        makespan=max(end[:n], default=0),
-        mach_order=seqs,
-        h=head,
-        q=tail,
-        p=pl,
-        job_pred=jp,
-        job_succ=js,
-        mach_pred=mp,
-        mach_succ=ms,
-    )
+    return SearchGraph(instance=instance, makespan=max(end[:n], default=0),
+                       mach_order=seqs, h=head, q=tail, p=pl, job_pred=jp,
+                       job_succ=js, mach_pred=mp, mach_succ=ms, topo=topo,
+                       end=end, out=out)
 
 
 def critical_path(graph: SearchGraph) -> list[int]:

@@ -113,17 +113,22 @@ def _run(instance: Instance, rule: DispatchRule,
 
     def select(cand: list) -> int:
         if rule is DispatchRule.FIFO:
-            scores = np.array([wait[j] for j in cand])
+            scores = [wait[j] for j in cand]
         elif rule is DispatchRule.RND:
-            scores = rng.random(len(cand))
+            scores = rng.random(len(cand)).tolist()
         else:
-            scores = np.array([table[j][next_pos[j]] for j in cand],
-                              dtype=np.single)
+            scores = [table[j][next_pos[j]] for j in cand]
         if noise > 0.0 and len(cand) >= 3 and rng.random() < noise:
-            top3 = np.argpartition(scores, 2)[:3]
+            # argpartition's order feeds the draw: keep the scores' dtype
+            dtype = None if table is None else np.single
+            top3 = np.argpartition(np.array(scores, dtype=dtype), 2)[:3]
             return cand[rng.choice(top3)]
-        # argmin, unlike min(), returns the first nan
-        return cand[scores.argmin()]
+        # argmin's rule: the first nan (FDD/MWKR, all-zero job), else first min
+        if rule is DispatchRule.FDD_over_MWKR:
+            for k, s in enumerate(scores):
+                if s != s:
+                    return cand[k]
+        return cand[scores.index(min(scores))]
 
     for _ in range(J * M):
         # the lowest-index idle machine with a job waiting

@@ -22,7 +22,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import CyclicSolutionError, SearchGraph, build_graph, critical_blocks
+from .core import CyclicSolutionError, SearchGraph, critical_blocks, move_graph
+# not called here, but perfbench/tracing.py patches neighborhood.build_graph
+# and fails on a name it cannot find
+from .core import build_graph  # noqa: F401
 
 
 class InvalidMove(ValueError):
@@ -206,6 +209,20 @@ def _window_estimate(graph: SearchGraph, m: int, lo: int, hi: int,
     return est
 
 
+def _window(graph: SearchGraph, move: Move) -> tuple[int, int, list]:
+    """The machine slots lo..hi that ``move`` reorders, and their new order."""
+    row = graph.rows[move.machine]
+    a, b = move.pos_a, move.pos_b
+    if move.kind in (Operator.CT, Operator.CET):
+        return a, a + 1, [row[a + 1], row[a]]
+    if move.kind is Operator.ECET:
+        return a, b + 1, [row[a + 1], row[a], *row[a + 2: b], row[b + 1], row[b]]
+    lo, hi = (a, b) if a < b else (b, a)
+    window = row[lo: hi + 1]
+    window.insert(b - lo, window.pop(a - lo))
+    return lo, hi, window
+
+
 def estimate_move(graph: SearchGraph, move: Move) -> MoveEval:
     """Lower-bound makespan estimate of a move in O(m)."""
     _check_positions(graph, move)
@@ -216,20 +233,9 @@ def estimate_move(graph: SearchGraph, move: Move) -> MoveEval:
             raise InvalidMove("move no longer lies on a critical block")
     if move.kind in (Operator.CT, Operator.CET):
         est = _pair_estimate(graph, move.machine, move.pos_a)
-    elif move.kind is Operator.ECET:
-        # both end pairs swap at once, so neither pair may trust the other
-        # side's old heads/tails; evaluate the whole stretch as one window
-        lo, hi = move.pos_a, move.pos_b + 1
-        window = row[lo: hi + 1]
-        window[0], window[1] = window[1], window[0]
-        window[-2], window[-1] = window[-1], window[-2]
-        est = _window_estimate(graph, move.machine, lo, hi, window)
     else:
-        f, t = move.pos_a, move.pos_b
-        lo, hi = (f, t) if f < t else (t, f)
-        window = row[lo: hi + 1]
-        window.insert(t - lo, window.pop(f - lo))
-        est = _window_estimate(graph, move.machine, lo, hi, window)
+        # ECET: neither swapped pair may trust the other's old heads/tails
+        est = _window_estimate(graph, move.machine, *_window(graph, move))
     return MoveEval(move=move, estimate=est)
 
 
@@ -241,22 +247,15 @@ def apply_move(graph: SearchGraph, move: Move) -> SearchGraph:
     there propagates as a hard error.
     """
     _check_positions(graph, move)
-    order = graph.mach_order.copy()
-    seq = order[move.machine]
-    a, b = move.pos_a, move.pos_b
-    if move.kind in (Operator.CT, Operator.CET):
-        seq[[a, a + 1]] = seq[[a + 1, a]]
-    elif move.kind is Operator.ECET:
-        seq[[a, a + 1, b, b + 1]] = seq[[a + 1, a, b + 1, b]]
-    else:
-        seq[:] = np.insert(np.delete(seq, a), b, seq[a])
-        try:
-            return build_graph(graph.instance, order)
-        except CyclicSolutionError:
-            raise WouldCreateCycle(
-                f"insertion {a}->{b} on machine {move.machine} breaks a job route"
-            ) from None
-    return build_graph(graph.instance, order)
+    lo, _, window = _window(graph, move)
+    try:
+        return move_graph(graph, move.machine, lo, window)
+    except CyclicSolutionError:
+        if move.kind is not Operator.CEI:
+            raise
+        raise WouldCreateCycle(
+            f"insertion {move.pos_a}->{move.pos_b} on machine {move.machine} "
+            "breaks a job route") from None
 
 
 def ls_step(graph: SearchGraph, op: Operator) -> Union[Proposal, LocalOptimum]:

@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jobshopls import (Instance, build_graph, critical_blocks, critical_path,
-                       generate_instance, validate)
+from jobshopls import (CyclicSolutionError, Instance, build_graph, critical_blocks,
+                       critical_path, generate_instance, validate)
 from jobshopls.dispatch import DispatchRule, dispatch, stochastic_dispatch
 from jobshopls.neighborhood import (LocalOptimum, Operator, Perturbation, Proposal,
                                     WouldCreateCycle, apply_move, enumerate_moves,
@@ -151,15 +151,34 @@ def test_perturbation_strength_zero_is_identity():
     assert g2.makespan == g.makespan
 
 
-@settings(max_examples=60, deadline=None)
-@given(j=st.integers(1, 6), m=st.integers(1, 5), seed=st.integers(0, 10_000),
-       steps=st.lists(st.tuples(st.sampled_from([*Operator, "perturb"]),
+def assert_topological(g):
+    # the stored order holds every op once, and every job and machine arc
+    # points forward in it
+    n = g.instance.n_ops
+    assert sorted(g.topo) == list(range(n))
+    at = {v: i for i, v in enumerate(g.topo)}
+    for v in range(n):
+        for u in (g.job_pred[v], g.mach_pred[v]):
+            assert u >= n or at[u] < at[v], (u, v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), j=st.integers(1, 7), m=st.integers(1, 5),
+       seed=st.integers(0, 10_000),
+       steps=st.lists(st.tuples(st.sampled_from([*Operator, Operator.CEI,
+                                                 Operator.CEI, "perturb"]),
                                 st.integers(0, 10_000)), min_size=1, max_size=12))
-def test_moves_and_perturbations_return_fresh_graphs(j, m, seed, steps):
-    # each step builds a new graph equal to a full rebuild of the moved
-    # orders and leaves the old graph, whose order is read-only, as it was
-    inst = generate_instance(j, m, seed=seed)
+def test_moves_and_perturbations_return_fresh_graphs(data, j, m, seed, steps):
+    # each step builds a new graph, derived from its parent's topological
+    # order, equal to a full rebuild of the moved orders, and leaves the old
+    # graph, whose order is read-only, as it was; processing times of 0..6
+    # make zero-duration ops and equal heads common
+    proc = np.array(data.draw(st.lists(st.integers(0, 6), min_size=j * m,
+                                       max_size=j * m))).reshape(j, m)
+    machine = np.array([data.draw(st.permutations(range(m))) for _ in range(j)])
+    inst = Instance(j, m, proc, machine)
     g = build_graph(inst, dispatch(inst, DispatchRule.RND, seed=seed))
+    assert_topological(g)
     for kind, pick in steps:
         old_order, old_sol = g.mach_order.copy(), g.solution()
         if kind == "perturb":
@@ -174,12 +193,15 @@ def test_moves_and_perturbations_return_fresh_graphs(j, m, seed, steps):
                 new = apply_move(g, mv)
             except WouldCreateCycle:
                 assert simulate_makespan(inst, want) is None
+                with pytest.raises(CyclicSolutionError):
+                    build_graph(inst, want)
                 continue
             assert new.solution() == want
         ref = build_graph(inst, new.solution())
-        assert np.array_equal(new.head, ref.head)
-        assert np.array_equal(new.tail, ref.tail)
+        assert (new.h, new.q, new.mach_pred, new.mach_succ) == (
+            ref.h, ref.q, ref.mach_pred, ref.mach_succ)
         assert new.makespan == ref.makespan == simulate_makespan(inst, new.solution())
+        assert_topological(new)
         assert np.array_equal(g.mach_order, old_order)
         with pytest.raises(ValueError):
             g.mach_order[0, 0] = -1
