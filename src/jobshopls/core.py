@@ -286,12 +286,7 @@ def _longest_paths(instance: Instance, seqs: np.ndarray, mp: list, ms: list,
     """
     n = instance.n_ops
     pl, jp, js, _ = instance.flat_ops
-    if parent is None:
-        topo = list(range(n))
-        head, end, tail, out = ([0] * (n + 2) for _ in range(4))
-    else:
-        topo = parent.topo
-        head, end, tail, out = parent.h[:], parent.end[:], parent.q[:], parent.out[:]
+    topo = list(range(n)) if parent is None else parent.topo
 
     # Kahn's algorithm over the slice: an op is queued once both of its
     # predecessors are done (all outside the slice are); a cycle stops it.
@@ -314,6 +309,10 @@ def _longest_paths(instance: Instance, seqs: np.ndarray, mp: list, ms: list,
     if len(resorted) != b - a:
         raise CyclicSolutionError("machine sequences conflict with job routes")
     topo = topo[:a] + resorted + topo[b:]
+    if parent is None:
+        head, end, tail, out = ([0] * (n + 2) for _ in range(4))
+    else:
+        head, end, tail, out = parent.h[:], parent.end[:], parent.q[:], parent.out[:]
 
     # Both longest-path passes run on Python ints: indexing lists is several
     # times faster than indexing numpy arrays one scalar at a time. The

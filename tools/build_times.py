@@ -9,8 +9,8 @@ feasible move of the four operators on it. Each moved schedule is built both
 ways: by ``build_graph`` on the moved machine orders (a full Kahn sort), and
 by ``apply_move`` from the unmoved graph (which re-sorts only the window's
 stretch of its topological order). Both include the order check. A time is
-the minimum over repeats of one sweep over the moves, divided by the number
-of moves, in microseconds. The results go under ``build_times`` in the
+the minimum over SWEEPS sweeps over the moves, divided by the number of
+moves, in microseconds. The results go under ``build_times`` in the
 output file, together with the core count and the numpy and Python
 versions; other keys already in the file are kept.
 """
@@ -33,6 +33,8 @@ from jobshopls.dispatch import DispatchRule, dispatch  # noqa: E402
 from jobshopls.neighborhood import (Operator, WouldCreateCycle,  # noqa: E402
                                     apply_move, enumerate_moves)
 
+SWEEPS = 50
+
 
 def feasible_moves(graph) -> list:
     """(move, moved machine orders) of every feasible move on ``graph``."""
@@ -46,14 +48,13 @@ def feasible_moves(graph) -> list:
     return out
 
 
-def per_call_us(fn, calls: int, repeats: int) -> float:
-    return min(timeit.repeat(fn, number=1, repeat=repeats)) / calls * 1e6
+def per_call_us(fn, calls: int) -> float:
+    return min(timeit.repeat(fn, number=1, repeat=SWEEPS)) / calls * 1e6
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--repeats", type=int, default=30)
     args = parser.parse_args(argv)
 
     times = {}
@@ -63,16 +64,17 @@ def main(argv=None) -> int:
         graph = build_graph(inst, dispatch(inst, DispatchRule.SPT))
         cases = feasible_moves(graph)
         full = per_call_us(lambda: [build_graph(inst, order) for _, order in cases],
-                           len(cases), args.repeats)
+                           len(cases))
         derived = per_call_us(lambda: [apply_move(graph, mv) for mv, _ in cases],
-                              len(cases), args.repeats)
+                              len(cases))
         times[name] = {"moves": len(cases), "full_us": round(full, 1),
                        "derived_us": round(derived, 1),
                        "full_over_derived": round(full / derived, 2)}
         print(name, times[name], flush=True)
     report = json.loads(args.out.read_text()) if args.out.exists() else {}
     report["build_times"] = {
-        "command": "python3 tools/build_times.py", "instances": times,
+        "command": f"python3 tools/build_times.py --out {args.out}",
+        "sweeps": SWEEPS, "instances": times,
         "env": {"nproc": os.cpu_count(), "numpy": np.__version__,
                 "python": platform.python_version()}}
     args.out.write_text(json.dumps(report, indent=1) + "\n")
