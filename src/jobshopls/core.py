@@ -109,7 +109,7 @@ class Solution:
     """One processing order per machine.  machine_seq[k] lists ops front to back.
 
     This is the input and output format; the search carries a SearchGraph,
-    whose ``mach_order`` holds the same orders as flat op ids.
+    whose ``rows`` hold the same orders as flat op ids.
     """
 
     machine_seq: list[list[OpId]]
@@ -130,8 +130,7 @@ def validate(instance: Instance, solution) -> list[str]:
     return []
 
 
-@dataclass(frozen=True)
-class CriticalBlock:
+class CriticalBlock(NamedTuple):
     """Maximal run of consecutive critical ops on one machine.
 
     ``start`` is the index of the first op within that machine's sequence;
@@ -142,25 +141,23 @@ class CriticalBlock:
     start: int
     ops: tuple[int, ...]
 
-    def __len__(self) -> int:
-        return len(self.ops)
-
 
 @dataclass
 class SearchGraph:
     """Longest-path quantities for one (instance, solution) pair.
 
     The search state: treated as immutable once built, and applying a move
-    builds a fresh graph. ``mach_order`` is the solution itself and is
-    read-only. The per-op lists are indexed by flat op id
-    (job * n_machines + pos), with two extra virtual slots for the source
-    (id n_ops) and sink (id n_ops + 1); the scalar walkers read them as
-    Python ints, and the numpy views are derived on first use.
+    builds a fresh graph. ``rows`` is the solution itself, one tuple of flat
+    op ids per machine; a moved graph shares its parent's unmoved rows. The
+    per-op lists are indexed by flat op id (job * n_machines + pos), with
+    two extra virtual slots for the source (id n_ops) and sink (id n_ops +
+    1); the scalar walkers read them as Python ints, and the numpy views
+    (``mach_order``, ``head``, ``tail``) are derived on first use.
     """
 
     instance: Instance
     makespan: int
-    mach_order: np.ndarray    # (M, J) flat op ids in machine-sequence order
+    rows: tuple               # M tuples of flat op ids in machine-sequence order
     h: list                   # heads: earliest start times
     q: list                   # tails: longest path to the sink, excluding own proc
     p: tuple                  # processing times, zero for the virtual slots
@@ -178,9 +175,13 @@ class SearchGraph:
         return Solution([[OpId(*divmod(v, M)) for v in row] for row in self.rows])
 
     @cached_property
-    def rows(self) -> list[list[int]]:
-        """``mach_order`` as Python lists."""
-        return self.mach_order.tolist()
+    def mach_order(self) -> np.ndarray:
+        """``rows`` as a read-only (M, J) array."""
+        inst = self.instance
+        order = np.array(self.rows, dtype=np.int64).reshape(inst.n_machines,
+                                                            inst.n_jobs)
+        order.setflags(write=False)
+        return order
 
     @cached_property
     def head(self) -> np.ndarray:
@@ -206,8 +207,8 @@ class SearchGraph:
         return self.head[:n] + p + self.tail[:n] == self.makespan
 
 
-def _checked_order(instance: Instance, solution) -> np.ndarray:
-    """A Solution or an (M, J) order as a read-only (M, J) array of flat op ids.
+def _checked_rows(instance: Instance, solution) -> tuple:
+    """A Solution or an (M, J) order as M tuples of flat op ids.
 
     Raises MalformedSolutionError unless row k is a permutation of the ops
     routed to machine k.
@@ -234,8 +235,7 @@ def _checked_order(instance: Instance, solution) -> np.ndarray:
         raise MalformedSolutionError("\n".join(
             f"machine {k}: not a permutation of the {J} ops routed to it"
             for k in bad))
-    order.setflags(write=False)
-    return order
+    return tuple(map(tuple, order.tolist()))
 
 
 def build_graph(instance: Instance, solution) -> SearchGraph:
@@ -244,13 +244,12 @@ def build_graph(instance: Instance, solution) -> SearchGraph:
     ``solution`` is a Solution or an (M, J) array of flat op ids.
     """
     n = instance.n_ops
-    seqs = _checked_order(instance, solution)
-    mach_pred = np.full(n + 2, n, dtype=np.int64)      # the virtual source
-    mach_succ = np.full(n + 2, n + 1, dtype=np.int64)  # the virtual sink
-    mach_pred[seqs[:, 1:].reshape(-1)] = seqs[:, :-1].reshape(-1)
-    mach_succ[seqs[:, :-1].reshape(-1)] = seqs[:, 1:].reshape(-1)
-    return _longest_paths(instance, seqs, mach_pred.tolist(), mach_succ.tolist(),
-                          None, 0, n)
+    rows = _checked_rows(instance, solution)
+    mp, ms = [n] * (n + 2), [n + 1] * (n + 2)    # the virtual source and sink
+    for row in rows:
+        for u, v in zip(row, row[1:]):
+            ms[u], mp[v] = v, u
+    return _longest_paths(instance, rows, mp, ms, None, 0, n)
 
 
 def move_graph(graph: SearchGraph, machine: int, lo: int,
@@ -258,27 +257,32 @@ def move_graph(graph: SearchGraph, machine: int, lo: int,
     """Build the graph with ``machine``'s slots from ``lo`` on reordered to
     ``window``; raises CyclicSolutionError if that schedule is infeasible.
 
-    Every arc that changes touches an old window op, and those ops lie in
-    order in ``graph.topo``, so only the stretch between them is re-sorted.
+    Only the moved row is checked: ``window`` must be a permutation of the
+    slots it replaces, which keeps every row a permutation of its routed
+    ops. Every arc that changes touches an old window op, and those ops lie
+    in order in ``graph.topo``, so only the stretch between them is re-sorted.
     """
-    n = graph.instance.n_ops
-    first, last = graph.rows[machine][lo], graph.rows[machine][lo + len(window) - 1]
-    order = graph.mach_order.copy()
-    order[machine, lo:lo + len(window)] = window
-    seqs = _checked_order(graph.instance, order)
+    n, row = graph.instance.n_ops, graph.rows[machine]
+    hi = lo + len(window)
+    if not window or lo < 0 or sorted(window) != sorted(row[lo:hi]):
+        raise MalformedSolutionError(f"machine {machine}: the window is not a "
+                                     f"permutation of slots {lo} to {hi - 1}")
+    rows = (*graph.rows[:machine], (*row[:lo], *window, *row[hi:]),
+            *graph.rows[machine + 1:])
+    first, last = row[lo], row[hi - 1]
     mp, ms = graph.mach_pred[:], graph.mach_succ[:]
     chain = [mp[first], *window, ms[last]]
     for u, v in zip(chain, chain[1:]):
         ms[u], mp[v] = v, u
     ms[n], mp[n + 1] = n + 1, n    # the virtual source and sink keep theirs
     a = graph.topo.index(first)
-    return _longest_paths(graph.instance, seqs, mp, ms, graph, a,
+    return _longest_paths(graph.instance, rows, mp, ms, graph, a,
                           graph.topo.index(last, a) + 1)
 
 
-def _longest_paths(instance: Instance, seqs: np.ndarray, mp: list, ms: list,
+def _longest_paths(instance: Instance, rows: tuple, mp: list, ms: list,
                    parent: Optional[SearchGraph], a: int, b: int) -> SearchGraph:
-    """The SearchGraph of machine orders ``seqs`` and machine neighbours mp/ms.
+    """The SearchGraph of machine orders ``rows`` and machine neighbours mp/ms.
 
     Only positions a..b-1 of ``parent.topo`` are re-sorted, and a cycle can
     only lie among them; the parent's heads before them and tails after them
@@ -328,52 +332,52 @@ def _longest_paths(instance: Instance, seqs: np.ndarray, mp: list, ms: list,
         tail[v] = x
         out[v] = x + pl[v]
 
-    return SearchGraph(instance=instance, makespan=max(end[:n], default=0),
-                       mach_order=seqs, h=head, q=tail, p=pl, job_pred=jp,
+    # a job's last op ends last in its job, so the makespan is their max
+    M = instance.n_machines
+    return SearchGraph(instance=instance,
+                       makespan=max(end[M - 1:n:M] if M else [], default=0),
+                       rows=rows, h=head, q=tail, p=pl, job_pred=jp,
                        job_succ=js, mach_pred=mp, mach_succ=ms, topo=topo,
                        end=end, out=out)
 
 
 def critical_path(graph: SearchGraph) -> list[int]:
-    """One deterministic critical path of flat op ids, source side first.
-
-    Walking backward from the sink we follow the predecessor with the larger
-    head, breaking ties by machine predecessor over job predecessor and then
-    by lower op id.  This pins a unique path even when several exist.
-    """
-    n = graph.instance.n_ops
-    h, q, p, cmax = graph.h, graph.q, graph.p, graph.makespan
-    mp, jp = graph.mach_pred, graph.job_pred
-    # path ends have zero tail; max() keeps the first, i.e. lowest, id among
-    # the larger heads
-    ends = [v for v in range(n) if q[v] == 0 and h[v] + p[v] == cmax]
-    if not ends:
-        return []
-    v = max(ends, key=h.__getitem__)
-    path = [v]
-    while h[v] > 0:
-        # a virtual predecessor (the source) never continues the path
-        u, w = mp[v], jp[v]
-        mach = u < n and h[u] + p[u] == h[v]
-        job = w < n and h[w] + p[w] == h[v]
-        v = u if mach and not (job and h[w] > h[u]) else w
-        path.append(v)
-    return path[::-1]
+    """One deterministic critical path of flat op ids, source side first:
+    the ops of ``critical_blocks`` in order."""
+    return [v for block in critical_blocks(graph) for v in block.ops]
 
 
 def critical_blocks(graph: SearchGraph) -> list[CriticalBlock]:
-    """Split the deterministic critical path into maximal same-machine runs.
+    """Walk one deterministic critical path and split it into maximal
+    same-machine runs.
 
-    Consecutive path ops belong to one block only when they are adjacent in
-    that machine's processing order; blocks of length one are kept.
+    Walking backward from the sink we follow the predecessor with the larger
+    head, breaking ties by machine predecessor over job predecessor and then
+    by lower op id.  This pins a unique path even when several exist. A
+    block closes at each job arc; blocks of length one are kept.
     """
-    mp, rows = graph.mach_pred, graph.rows
+    n = graph.instance.n_ops
+    h, end, cmax = graph.h, graph.end, graph.makespan
+    mp, jp, rows = graph.mach_pred, graph.job_pred, graph.rows
     *_, machine = graph.instance.flat_ops
-    runs: list[list[int]] = []
-    for v in critical_path(graph):
-        if runs and runs[-1][-1] == mp[v]:
-            runs[-1].append(v)
+    if not n:
+        return []
+    # path ends end at the makespan, so their tails are zero; max() keeps the
+    # first, i.e. lowest, id among the larger heads
+    v = end.index(cmax)
+    if end.count(cmax) > 1:
+        v = max((u for u in range(v, n) if end[u] == cmax), key=h.__getitem__)
+    runs, run = [], [v]
+    while h[v] > 0:
+        # a virtual predecessor (the source) never continues the path
+        u, w = mp[v], jp[v]
+        mach = u < n and end[u] == h[v]
+        if mach and not (w < n and end[w] == h[v] and h[w] > h[u]):
+            run.append(u)
         else:
-            runs.append([v])
-    return [CriticalBlock(machine[r[0]], rows[machine[r[0]]].index(r[0]), tuple(r))
-            for r in runs]
+            runs.append(run)
+            run = [w]
+        v = run[-1]
+    runs.append(run)
+    return [CriticalBlock(machine[r[-1]], rows[machine[r[-1]]].index(r[-1]),
+                          tuple(reversed(r))) for r in reversed(runs)]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -59,8 +59,7 @@ class Operator(enum.Enum):
 OPERATOR_ORDER = (Operator.CT, Operator.CET, Operator.ECET, Operator.CEI)
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     """One candidate modification of a single machine sequence.
 
     Position semantics depend on ``kind``:
@@ -86,8 +85,7 @@ class Perturbation:
             raise ValueError("perturbation strength must be >= 0")
 
 
-@dataclass(frozen=True)
-class MoveEval:
+class MoveEval(NamedTuple):
     move: Move
     estimate: int
 
@@ -113,7 +111,7 @@ def enumerate_moves(graph: SearchGraph, op: Operator) -> list[Move]:
     """All candidate moves of one operator on the current critical blocks."""
     moves: list[Move] = []
     for block in critical_blocks(graph):
-        m, s, size = block.machine, block.start, len(block)
+        m, s, size = block.machine, block.start, len(block.ops)
         if op is Operator.CT:
             for i in range(size - 1):
                 moves.append(Move(op, m, s + i, s + i + 1))
@@ -218,25 +216,29 @@ def _window(graph: SearchGraph, move: Move) -> tuple[int, int, list]:
     if move.kind is Operator.ECET:
         return a, b + 1, [row[a + 1], row[a], *row[a + 2: b], row[b + 1], row[b]]
     lo, hi = (a, b) if a < b else (b, a)
-    window = row[lo: hi + 1]
+    window = list(row[lo: hi + 1])
     window.insert(b - lo, window.pop(a - lo))
     return lo, hi, window
 
 
+def _estimate(graph: SearchGraph, move: Move) -> int:
+    """A move's estimate as a plain int, unchecked."""
+    if move.kind in (Operator.CT, Operator.CET):
+        return _pair_estimate(graph, move.machine, move.pos_a)
+    # ECET: neither swapped pair may trust the other's old heads/tails
+    return _window_estimate(graph, move.machine, *_window(graph, move))
+
+
 def estimate_move(graph: SearchGraph, move: Move) -> MoveEval:
-    """Lower-bound makespan estimate of a move in O(m)."""
+    """Lower-bound makespan estimate of a move in O(m), checked to fit the
+    graph and to lie on a critical block (``ls_step`` scores its own)."""
     _check_positions(graph, move)
     row = graph.rows[move.machine]
     h, q, p = graph.h, graph.q, graph.p
     for v in (row[move.pos_a], row[move.pos_b]):
         if h[v] + p[v] + q[v] != graph.makespan:
             raise InvalidMove("move no longer lies on a critical block")
-    if move.kind in (Operator.CT, Operator.CET):
-        est = _pair_estimate(graph, move.machine, move.pos_a)
-    else:
-        # ECET: neither swapped pair may trust the other's old heads/tails
-        est = _window_estimate(graph, move.machine, *_window(graph, move))
-    return MoveEval(move=move, estimate=est)
+    return MoveEval(move=move, estimate=_estimate(graph, move))
 
 
 def apply_move(graph: SearchGraph, move: Move) -> SearchGraph:
@@ -268,15 +270,15 @@ def ls_step(graph: SearchGraph, op: Operator) -> Union[Proposal, LocalOptimum]:
     keeping its own.
     """
     moves = enumerate_moves(graph, op)
-    if not moves:
-        return LocalOptimum()
-    evals = [estimate_move(graph, mv) for mv in moves]
-    for k in sorted(range(len(evals)), key=lambda k: (evals[k].estimate, k)):
+    # the moves lie on critical blocks by construction: score them unchecked
+    ests = [_estimate(graph, mv) for mv in moves]
+    # a stable sort: ties go to enumeration order
+    for k in sorted(range(len(ests)), key=ests.__getitem__):
         try:
             new_graph = apply_move(graph, moves[k])
         except WouldCreateCycle:
             continue
-        return Proposal(move=moves[k], eval=evals[k],
+        return Proposal(move=moves[k], eval=MoveEval(moves[k], ests[k]),
                         new_cost=new_graph.makespan, graph=new_graph)
     return LocalOptimum()
 

@@ -263,6 +263,29 @@ def reference_estimate(graph, move) -> int:
     return _reference_window(graph, nbrs, p, m, lo, hi, window)
 
 
+def reference_ls_step(graph, op):
+    """The LS step as a fall-through over checked, separately scored moves.
+
+    Every enumerated move is scored by ``reference_estimate``, the ranking
+    is by (estimate, enumeration index), and the first candidate whose
+    ``apply_move`` does not hit a CEI cycle wins. Returns (move, estimate,
+    moved graph, cycle rejections), or None when every candidate fails.
+    """
+    from jobshopls.neighborhood import WouldCreateCycle, apply_move, enumerate_moves
+
+    moves = enumerate_moves(graph, op)
+    ests = [reference_estimate(graph, mv) for mv in moves]
+    rejects = 0
+    for k in sorted(range(len(moves)), key=lambda k: (ests[k], k)):
+        try:
+            moved = apply_move(graph, moves[k])
+        except WouldCreateCycle:
+            rejects += 1
+            continue
+        return moves[k], ests[k], moved, rejects
+    return None
+
+
 # -- Q-network forward, TD loss and validation, one graph at a time --------
 # These are the per-item versions the package ran before its forward took a
 # disjoint union of graphs; the batched code must match them bit for bit.

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from jobshopls import build_graph, critical_blocks, critical_path, generate_instance, validate
 from jobshopls.core import (CyclicSolutionError, Instance, MalformedSolutionError,
-                            OpId, Solution)
+                            OpId, Solution, move_graph)
 from jobshopls.dispatch import DispatchRule, dispatch
 
 from oracles import simulate_heads_tails, simulate_makespan
@@ -131,6 +131,39 @@ def test_validate_reports_malformed_solutions():
     cyclic = sol([(1, 1), (0, 0)], [(0, 1), (1, 0)])
     for bad in (cyclic, np.array([[3, 0], [1, 2]])):
         assert validate(inst, bad) == ["precedence graph is cyclic"]
+
+
+def test_move_graph_checks_the_window_and_derives_rows():
+    inst = generate_instance(5, 4, seed=6)
+    g = build_graph(inst, dispatch(inst, DispatchRule.SPT))
+    rows, order = g.rows, g.mach_order.copy()
+    row, other = list(g.rows[2]), list(g.rows[3])
+    bad = {  # each window replaces the slots from lo on, as many as it has
+        "duplicate op": (1, [row[1], row[1]]),
+        "op of another machine": (1, [row[2], other[0]]),
+        "longer than the slots left": (4, [row[4], row[3]]),
+        "empty": (0, []),
+    }
+    for lo, window in bad.values():
+        with pytest.raises(MalformedSolutionError, match="machine 2"):
+            move_graph(g, 2, lo, window)
+    for lo in range(len(row) - 1):
+        try:
+            child = move_graph(g, 2, lo, [row[lo + 1], row[lo]])
+        except CyclicSolutionError:
+            continue
+        want = row[:lo] + [row[lo + 1], row[lo]] + row[lo + 2:]
+        assert child.rows[2] == tuple(want)
+        # the unmoved rows are shared, and the array view is derived from rows
+        assert all(child.rows[k] is rows[k] for k in (0, 1, 3))
+        assert child.mach_order.tolist() == [list(r) for r in child.rows]
+        with pytest.raises(ValueError):
+            child.mach_order[2, 0] = -1
+        assert child.makespan == build_graph(inst, child.mach_order).makespan
+    # the parent keeps its rows and its order
+    assert g.rows is rows and np.array_equal(g.mach_order, order)
+    assert g.mach_order.tolist() == [list(r) for r in rows]
+    assert not g.mach_order.flags.writeable
 
 
 def test_instance_rejects_bad_routes():

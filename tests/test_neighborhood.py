@@ -12,7 +12,7 @@ from jobshopls.neighborhood import (LocalOptimum, Operator, Perturbation, Propos
 
 from oracles import (apply_move_to_sequences, exact_move_cost,
                      reference_critical_blocks, reference_critical_path,
-                     reference_estimate, simulate_makespan)
+                     reference_estimate, reference_ls_step, simulate_makespan)
 
 
 def graph_for(seed, j=6, m=6, rule=DispatchRule.SPT):
@@ -236,3 +236,54 @@ def test_walkers_match_the_numpy_references(data, j, m, rule, noise, seed, picks
         for op in Operator:
             for mv in enumerate_moves(g, op):
                 assert estimate_move(g, mv).estimate == reference_estimate(g, mv), mv
+
+
+def assert_ls_step_matches_reference(g, op) -> int:
+    """ls_step(g, op) against the reference fall-through; returns how many
+    CEI cycles the reference rejected before its proposal."""
+    result, want = ls_step(g, op), reference_ls_step(g, op)
+    if want is None:
+        assert isinstance(result, LocalOptimum)
+        return 0
+    move, est, moved, rejects = want
+    assert isinstance(result, Proposal)
+    assert (result.move, result.eval.move, result.eval.estimate) == (move, move, est)
+    assert result.new_cost == result.graph.makespan == moved.makespan
+    assert result.graph.rows == moved.rows
+    return rejects
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), j=st.integers(1, 7), m=st.integers(1, 6),
+       seed=st.integers(0, 10_000),
+       walk=st.lists(st.tuples(st.sampled_from(list(Operator)),
+                               st.integers(0, 10_000)), max_size=8))
+def test_ls_step_matches_the_reference_fall_through(data, j, m, seed, walk):
+    # processing times of 0..6 make equal estimates, and so the tie-break by
+    # enumeration order, common
+    proc = np.array(data.draw(st.lists(st.integers(0, 6), min_size=j * m,
+                                       max_size=j * m))).reshape(j, m)
+    machine = np.array([data.draw(st.permutations(range(m))) for _ in range(j)])
+    inst = Instance(j, m, proc, machine)
+    g = build_graph(inst, dispatch(inst, DispatchRule.RND, seed=seed))
+    for kind, pick in [(None, 0), *walk]:
+        if kind is not None:
+            moves = enumerate_moves(g, kind)
+            if not moves:
+                continue
+            try:
+                g = apply_move(g, moves[pick % len(moves)])
+            except WouldCreateCycle:
+                continue
+        for op in Operator:
+            assert_ls_step_matches_reference(g, op)
+
+
+def test_ls_step_falls_through_cei_cycles_like_the_reference():
+    # schedules whose best-ranked insertions break a job route: ls_step must
+    # skip them in the reference's order
+    fell_through = 0
+    for seed in range(60):
+        inst, sol, g = graph_for(seed, j=8, m=4, rule=DispatchRule.RND)
+        fell_through += assert_ls_step_matches_reference(g, Operator.CEI) > 0
+    assert fell_through >= 3

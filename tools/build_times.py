@@ -1,4 +1,5 @@
-"""Per-call times of a full build_graph against a move's derived build.
+"""Per-call times of a full build_graph against a move's derived build, and
+of the critical-block walk and one LS step per operator.
 
 Run from the root of a checkout:
 
@@ -8,10 +9,12 @@ On ta01, ta51 and a random 6x6, it takes the SPT schedule's graph and every
 feasible move of the four operators on it. Each moved schedule is built both
 ways: by ``build_graph`` on the moved machine orders (a full Kahn sort), and
 by ``apply_move`` from the unmoved graph (which re-sorts only the window's
-stretch of its topological order). Both include the order check. A time is
-the minimum over SWEEPS sweeps over the moves, divided by the number of
-moves, in microseconds. The results go under ``build_times`` in the
-output file, together with the core count and the numpy and Python
+stretch of its topological order). The full build checks every machine
+order, the derived one only the moved row. On the SPT graph itself it also
+times ``critical_blocks`` and ``ls_step`` with each operator. A time is the
+minimum over SWEEPS sweeps (over the moves, or of one call), divided by the
+number of calls, in microseconds. The results go under ``build_times`` in
+the output file, together with the core count and the numpy and Python
 versions; other keys already in the file are kept.
 """
 from __future__ import annotations
@@ -28,10 +31,11 @@ import numpy as np
 
 sys.path.insert(0, str(Path.cwd() / "src"))
 
-from jobshopls import build_graph, builtin_instance, generate_instance  # noqa: E402
+from jobshopls import (build_graph, builtin_instance, critical_blocks,  # noqa: E402
+                       generate_instance)
 from jobshopls.dispatch import DispatchRule, dispatch  # noqa: E402
 from jobshopls.neighborhood import (Operator, WouldCreateCycle,  # noqa: E402
-                                    apply_move, enumerate_moves)
+                                    apply_move, enumerate_moves, ls_step)
 
 SWEEPS = 50
 
@@ -69,7 +73,12 @@ def main(argv=None) -> int:
                               len(cases))
         times[name] = {"moves": len(cases), "full_us": round(full, 1),
                        "derived_us": round(derived, 1),
-                       "full_over_derived": round(full / derived, 2)}
+                       "full_over_derived": round(full / derived, 2),
+                       "critical_blocks_us": round(
+                           per_call_us(lambda: critical_blocks(graph), 1), 1),
+                       "ls_step_us": {op.value: round(
+                           per_call_us(lambda: ls_step(graph, op), 1), 1)
+                           for op in Operator}}
         print(name, times[name], flush=True)
     report = json.loads(args.out.read_text()) if args.out.exists() else {}
     report["build_times"] = {
