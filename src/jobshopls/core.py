@@ -35,6 +35,18 @@ class CyclicSolutionError(ValueError):
     """The combined precedence graph contains a cycle (no feasible schedule)."""
 
 
+def _int64_array(values, name: str) -> np.ndarray:
+    """``values`` as an int64 array; a value the cast would change (a
+    fraction, nan or inf) is refused with a message naming ``name``."""
+    given = np.asarray(values)
+    with np.errstate(invalid="ignore"):   # nan and inf cast to garbage
+        cast = given.astype(np.int64, copy=False)
+    changed = cast != given
+    if np.any(changed):
+        raise ValueError(f"{name} must hold integers, got {given[changed][0].item()!r}")
+    return cast
+
+
 @dataclass(frozen=True, eq=False)
 class Instance:
     """Immutable problem data.
@@ -52,8 +64,8 @@ class Instance:
     name: str = ""
 
     def __post_init__(self):
-        proc = np.asarray(self.proc, dtype=np.int64)
-        machine = np.asarray(self.machine, dtype=np.int64)
+        proc = _int64_array(self.proc, "proc")
+        machine = _int64_array(self.machine, "machine")
         object.__setattr__(self, "proc", proc)
         object.__setattr__(self, "machine", machine)
         shape = (self.n_jobs, self.n_machines)
@@ -62,10 +74,10 @@ class Instance:
                              f"got proc {proc.shape} and machine {machine.shape}")
         if np.any(proc < 0):
             raise ValueError("processing times must be non-negative")
-        want = np.arange(self.n_machines)
-        for j in range(self.n_jobs):
-            if not np.array_equal(np.sort(machine[j]), want):
-                raise ValueError(f"job {j} route is not a permutation of all machines")
+        bad = (np.sort(machine, axis=1) != np.arange(self.n_machines)).any(axis=1)
+        if bad.any():
+            raise ValueError(f"job {bad.argmax()} route is not a permutation "
+                             "of all machines")
 
     @property
     def n_ops(self) -> int:

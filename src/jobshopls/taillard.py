@@ -21,51 +21,56 @@ class InstanceParseError(ValueError):
     """Raised when an instance file cannot be parsed."""
 
 
-def _tokens_with_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        for tok in line.split():
-            yield lineno, tok
-
-
 def parse_taillard(text: str, name: str = "") -> Instance:
     """Parse instance text in the Taillard layout."""
-    stream = _tokens_with_lines(text)
+    tokens = [(lineno, tok)
+              for lineno, raw in enumerate(text.splitlines(), start=1)
+              for tok in raw.split("#", 1)[0].split()]
 
-    def take_int(what: str) -> int:
-        try:
-            lineno, tok = next(stream)
-        except StopIteration:
-            raise InstanceParseError(f"unexpected end of file while reading {what}")
-        try:
-            return int(tok)
-        except ValueError:
-            raise InstanceParseError(f"line {lineno}: expected integer for {what}, got {tok!r}")
+    def unread(i: int, what: str) -> InstanceParseError:
+        # token i is missing or not an integer
+        if i >= len(tokens):
+            return InstanceParseError(f"unexpected end of file while reading {what}")
+        lineno, tok = tokens[i]
+        return InstanceParseError(
+            f"line {lineno}: expected integer for {what}, got {tok!r}")
 
-    J = take_int("job count")
-    M = take_int("machine count")
+    header = []
+    for i, what in enumerate(("job count", "machine count")):
+        try:
+            header.append(int(tokens[i][1]))
+        except (IndexError, ValueError):
+            raise unread(i, what) from None
+    J, M = header
     if J <= 0 or M <= 0:
         raise InstanceParseError(f"job and machine counts must be positive, got {J} x {M}")
 
-    proc = np.zeros((J, M), dtype=np.int64)
-    for j in range(J):
-        for k in range(M):
-            proc[j, k] = take_int(f"processing-time row {j + 1}, column {k + 1}")
-
-    machine = np.zeros((J, M), dtype=np.int64)
-    for j in range(J):
-        for k in range(M):
-            m = take_int(f"machine row {j + 1}, column {k + 1}")
-            if not (1 <= m <= M):
-                raise InstanceParseError(
-                    f"machine row {j + 1}: index {m} outside 1..{M}")
-            machine[j, k] = m - 1
-
-    extra = next(stream, None)
-    if extra is not None:
-        raise InstanceParseError(f"line {extra[0]}: trailing data {extra[1]!r}")
+    # J rows of processing times, then J rows of machines (1-based); values
+    # stops at the first token int() rejects
+    n = J * M
+    values = []
+    for _, tok in tokens[2:2 + 2 * n]:
+        try:
+            values.append(int(tok))
+        except ValueError:
+            break
+    # an index outside 1..M in values comes before any bad or missing token
+    k = next((k for k, m in enumerate(values[n:]) if not 1 <= m <= M), None)
+    if k is not None:
+        raise InstanceParseError(
+            f"machine row {k // M + 1}: index {values[n + k]} outside 1..{M}")
+    if len(values) < 2 * n:
+        part, cell = divmod(len(values), n)
+        raise unread(2 + len(values),
+                     f"{('processing-time', 'machine')[part]} row "
+                     f"{cell // M + 1}, column {cell % M + 1}")
+    if len(tokens) > 2 + 2 * n:
+        lineno, tok = tokens[2 + 2 * n]
+        raise InstanceParseError(f"line {lineno}: trailing data {tok!r}")
+    proc, machine = np.array(values, dtype=np.int64).reshape(2, J, M)
     try:
-        return Instance(n_jobs=J, n_machines=M, proc=proc, machine=machine, name=name)
+        return Instance(n_jobs=J, n_machines=M, proc=proc, machine=machine - 1,
+                        name=name)
     except ValueError as exc:
         raise InstanceParseError(str(exc))
 

@@ -173,6 +173,23 @@ def test_instance_rejects_bad_routes():
                  machine=np.array([[0, 0], [1, 0]]))
 
 
+@pytest.mark.parametrize("proc, machine, message", [
+    ([[1.5, 2.9]], [[0, 1]], "proc must hold integers, got 1.5"),
+    ([[1, 2]], [[0.7, 1.2]], "machine must hold integers, got 0.7"),
+    ([[1, np.nan]], [[0, 1]], "proc must hold integers, got nan"),
+    ([[1, 2]], [[0, np.inf]], "machine must hold integers, got inf"),
+])
+def test_instance_rejects_non_integer_data(proc, machine, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Instance(1, 2, proc, machine)
+
+
+def test_instance_accepts_integral_floats():
+    inst = Instance(1, 2, [[1.0, 2.0]], np.array([[1.0, 0.0]]))
+    assert inst.proc.dtype == inst.machine.dtype == np.int64
+    assert inst.proc.tolist() == [[1, 2]] and inst.machine.tolist() == [[1, 0]]
+
+
 def test_routing_table_is_computed_once_and_read_only():
     inst = generate_instance(4, 3, seed=5)
     routed = inst.routed

@@ -6,10 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jobshopls import (Instance, build_graph, builtin_instance, generate_instance,
                        validate)
 from jobshopls.dispatch import DispatchRule, dispatch, stochastic_dispatch
+from oracles import reference_dispatch
 
 DETERMINISTIC = [r for r in DispatchRule if r is not DispatchRule.RND]
 
@@ -138,3 +140,32 @@ def test_instances_without_ops_dispatch_to_empty_orders(rule, shape):
         sol = stochastic_dispatch(inst, rule, noise=noise, seed=0)
         assert validate(inst, sol) == []
         assert build_graph(inst, sol).makespan == 0
+
+
+def assert_matches_reference(inst, seed):
+    for rule in DispatchRule:
+        for noise in (0.0, 0.5, 1.0):
+            got = stochastic_dispatch(inst, rule, noise=noise, seed=seed)
+            want = reference_dispatch(inst, rule, np.random.default_rng(seed), noise)
+            assert got.machine_seq == want.machine_seq, (rule, noise)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), j=st.integers(1, 8), m=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1))
+def test_event_heap_matches_the_countdown_dispatcher(data, j, m, seed):
+    # durations 0..9 give many zero-length ops, ties and simultaneous ends
+    proc = np.array(data.draw(st.lists(st.integers(0, 9), min_size=j * m,
+                                       max_size=j * m))).reshape(j, m)
+    machine = np.array([data.draw(st.permutations(range(m))) for _ in range(j)])
+    assert_matches_reference(Instance(j, m, proc, machine), seed)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_event_heap_matches_the_countdown_dispatcher_on_wide_durations(seed):
+    # log-uniform durations on 1..1e9, beyond the bound under which the
+    # dispatch docstring proves the clocks exact; these cases still agree
+    rng = np.random.default_rng(seed)
+    proc = np.rint(np.exp(rng.uniform(0.0, np.log(1e9), size=(8, 8))))
+    machine = np.array([rng.permutation(8) for _ in range(8)])
+    assert_matches_reference(Instance(8, 8, proc.astype(np.int64), machine), seed)

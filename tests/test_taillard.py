@@ -73,6 +73,33 @@ def test_non_numeric_token_rejected():
         parse_taillard(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("# two jobs\n2 3\n1 2 3\n4 5\n",
+     "unexpected end of file while reading processing-time row 2, column 3"),
+    ("2 2\n1 2\n3 4\n1 2\n", "unexpected end of file while reading machine row 2, column 1"),
+    ("# nothing\n\n", "unexpected end of file while reading job count"),
+    ("2", "unexpected end of file while reading machine count"),
+    ("two 2\n", "line 1: expected integer for job count, got 'two'"),
+    ("2 2\n1 2\n3 x4\n1 2\n2 1\n",
+     "line 3: expected integer for processing-time row 2, column 2, got 'x4'"),
+    ("2 2\n1 2\n3 4\n1 2\n2 1.0\n",
+     "line 5: expected integer for machine row 2, column 2, got '1.0'"),
+    ("2 2\n1 2\n3 4\n1 2\n2 3\n", "machine row 2: index 3 outside 1..2"),
+    # an index out of range is reported before a later bad or missing token
+    ("2 2\n1 2\n3 4\n0 2\n2 x\n", "machine row 1: index 0 outside 1..2"),
+    ("2 2\n1 2\n3 4\n1 5\n", "machine row 1: index 5 outside 1..2"),
+    ("2 2\n1 2\n3 4\n1 2\n2 1\n\n# more\n 7 8\n", "line 8: trailing data '7'"),
+    ("0 3\n", "job and machine counts must be positive, got 0 x 3"),
+    ("2 -1\n1 2\n", "job and machine counts must be positive, got 2 x -1"),
+    ("1 2\n-1 2\n1 2\n", "processing times must be non-negative"),
+    ("2 2\n1 2\n3 4\n1 2\n2 2\n", "job 1 route is not a permutation of all machines"),
+])
+def test_parse_errors_name_the_offending_token(text, message):
+    with pytest.raises(InstanceParseError) as err:
+        parse_taillard(text)
+    assert str(err.value) == message
+
+
 def test_resolve_instance_accepts_names_and_paths(tmp_path):
     assert resolve_instance("ta05").name == "ta05"
     p = tmp_path / "mine.txt"

@@ -1,5 +1,5 @@
-"""Per-call times of a full build_graph against a move's derived build, and
-of the critical-block walk and one LS step per operator.
+"""Per-call times of a full build_graph against a move's derived build, of
+the critical-block walk and one LS step per operator, and of dispatch.
 
 Run from the root of a checkout:
 
@@ -11,9 +11,11 @@ ways: by ``build_graph`` on the moved machine orders (a full Kahn sort), and
 by ``apply_move`` from the unmoved graph (which re-sorts only the window's
 stretch of its topological order). The full build checks every machine
 order, the derived one only the moved row. On the SPT graph itself it also
-times ``critical_blocks`` and ``ls_step`` with each operator. A time is the
-minimum over SWEEPS sweeps (over the moves, or of one call), divided by the
-number of calls, in microseconds. The results go under ``build_times`` in
+times ``critical_blocks`` and ``ls_step`` with each operator, and on the
+instance it times one FDD/MWKR ``dispatch`` and one ``stochastic_dispatch``
+at noise 1.0 (the restart construction, seed 0). A time is the minimum over
+SWEEPS sweeps (over the moves, or of one call), divided by the number of
+calls, in microseconds. The results go under ``build_times`` in
 the output file, together with the core count and the numpy and Python
 versions; other keys already in the file are kept.
 """
@@ -33,7 +35,8 @@ sys.path.insert(0, str(Path.cwd() / "src"))
 
 from jobshopls import (build_graph, builtin_instance, critical_blocks,  # noqa: E402
                        generate_instance)
-from jobshopls.dispatch import DispatchRule, dispatch  # noqa: E402
+from jobshopls.dispatch import (DispatchRule, dispatch,  # noqa: E402
+                                stochastic_dispatch)
 from jobshopls.neighborhood import (Operator, WouldCreateCycle,  # noqa: E402
                                     apply_move, enumerate_moves, ls_step)
 
@@ -78,7 +81,12 @@ def main(argv=None) -> int:
                            per_call_us(lambda: critical_blocks(graph), 1), 1),
                        "ls_step_us": {op.value: round(
                            per_call_us(lambda: ls_step(graph, op), 1), 1)
-                           for op in Operator}}
+                           for op in Operator},
+                       "dispatch_us": round(per_call_us(
+                           lambda: dispatch(inst, DispatchRule.FDD_over_MWKR), 1), 1),
+                       "stochastic_dispatch_us": round(per_call_us(
+                           lambda: stochastic_dispatch(inst, DispatchRule.FDD_over_MWKR,
+                                                       noise=1.0, seed=0), 1), 1)}
         print(name, times[name], flush=True)
     report = json.loads(args.out.read_text()) if args.out.exists() else {}
     report["build_times"] = {
