@@ -2,9 +2,11 @@
 
 A Tensor wraps an ndarray plus a gradient slot and a closure that pushes
 gradients to its parents. Calling backward() on a scalar walks the tape in
-reverse topological order. Only the operations the Q-network needs are
-implemented; everything stays in double precision so gradient checks can be
-tight.
+reverse topological order and releases it as it goes: a node that has pushed
+drops its gradient, closure and parent links, so only leaves (parameters)
+keep gradients and a tape serves one backward. Only the operations the
+Q-network needs are implemented; everything stays in double precision so
+gradient checks can be tight.
 """
 from __future__ import annotations
 
@@ -80,18 +82,41 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._push is _spent:
+                _spent(None)
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
                 if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(order):
-            if node._push is not None and node.grad is not None:
-                node._push(node.grad)
+        while order:   # popping lets a spent node's arrays go at once
+            node = order.pop()
+            if node._push is not None:
+                if node.grad is not None:
+                    node._push(node.grad)
+                node.grad, node._push, node._parents = None, _spent, ()
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+def _spent(g) -> None:
+    """The closure of a node that has pushed; its tape cannot run again."""
+    raise RuntimeError("backward() reached a tape that was already used; "
+                       "run the forward pass again")
+
+
+def _accumulate_graphs(t: Tensor, terms) -> None:
+    """Add a parameter's per-graph gradient terms (fresh arrays of its shape)
+    in graph order, into the first term if it has no gradient yet: one write
+    of ``t.grad``, rounded as one ``_accumulate`` per term."""
+    if t.requires_grad:
+        terms = iter(terms)
+        total = next(terms) if t.grad is None else t.grad
+        for term in terms:
+            total += term
+        t.grad = total
 
 
 def constant(x: ArrayLike) -> Tensor:
@@ -293,12 +318,11 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5,
 
     def push(g):
         lead = tuple(range(g.ndim - 1))
-        gxhat = g * xhat
-        for s in _graphs(sizes):
-            if scale.requires_grad:
-                scale._accumulate(gxhat[s].sum(axis=lead))
-            if shift.requires_grad:
-                shift._accumulate(g[s].sum(axis=lead))
+        parts = _graphs(sizes)
+        if scale.requires_grad:
+            gxhat = g * xhat
+            _accumulate_graphs(scale, (gxhat[s].sum(axis=lead) for s in parts))
+        _accumulate_graphs(shift, (g[s].sum(axis=lead) for s in parts))
         if x.requires_grad:
             gx = g * scale.data
             x._accumulate(inv * (gx - gx.mean(axis=-1, keepdims=True)
@@ -315,11 +339,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor,
         parts = _graphs(sizes)
         if x.requires_grad:
             x._accumulate(np.concatenate([g[s] @ w.data.T for s in parts]))
-        for s in parts:
-            if w.requires_grad:
-                w._accumulate(x.data[s].T @ g[s])
-            if b.requires_grad:
-                b._accumulate(g[s].sum(axis=0))
+        _accumulate_graphs(w, (x.data[s].T @ g[s] for s in parts))
+        _accumulate_graphs(b, (g[s].sum(axis=0) for s in parts))
     return Tensor(x.data @ w.data + b.data, parents=(x, w, b), push=push)
 
 
@@ -331,24 +352,19 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     z = x.data @ w1.data
     z += b1.data
     cdf = _normal_cdf(z)
-    a = z * cdf
-    out = a @ w2.data
+    out = (z * cdf) @ w2.data
     out += b2.data
 
     def push(g):
         parts = _graphs(sizes)
-        for s in parts:
-            if w2.requires_grad:
-                w2._accumulate(a[s].T @ g[s])
-            if b2.requires_grad:
-                b2._accumulate(g[s].sum(axis=0))
+        if w2.requires_grad:
+            a = z * cdf   # the forward's product, recomputed rather than kept
+            _accumulate_graphs(w2, (a[s].T @ g[s] for s in parts))
+        _accumulate_graphs(b2, (g[s].sum(axis=0) for s in parts))
         gz = np.concatenate([g[s] @ w2.data.T for s in parts])
         gz *= cdf + z * np.exp(-0.5 * z * z) * _INV_SQRT_2PI
-        for s in parts:
-            if w1.requires_grad:
-                w1._accumulate(x.data[s].T @ gz[s])
-            if b1.requires_grad:
-                b1._accumulate(gz[s].sum(axis=0))
+        _accumulate_graphs(w1, (x.data[s].T @ gz[s] for s in parts))
+        _accumulate_graphs(b1, (gz[s].sum(axis=0) for s in parts))
         if x.requires_grad:
             x._accumulate(np.concatenate([gz[s] @ w1.data.T for s in parts]))
     return Tensor(out, parents=(x, w1, b1, w2, b2), push=push)

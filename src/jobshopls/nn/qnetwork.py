@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -69,41 +69,45 @@ class QNetwork:
     N_SCALARS = 7
 
     def __init__(self, n_actions: int, config: Optional[GNNConfig] = None,
-                 d_in: int = 5, seed: Optional[int] = None):
+                 d_in: int = 5, seed: Optional[int] = None,
+                 arrays: Optional[Mapping[str, np.ndarray]] = None):
+        """Weights drawn from ``seed`` (Glorot; zero biases, unit scales), or
+        taken from ``arrays``, which maps every parameter name to its array."""
         if n_actions < 1:
             raise ValueError("n_actions must be positive")
         self.n_actions = n_actions
         self.config = config or GNNConfig()
         self.d_in = d_in
         self.params: dict[str, Tensor] = {}
-        self._init_params(np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        for name, shape in self._shapes().items():
+            if arrays is None:
+                value = (_glorot(rng, *shape) if len(shape) == 2
+                         else np.ones(shape) if name.endswith(".scale")
+                         else np.zeros(shape))
+            elif name not in arrays:
+                raise ValueError(f"checkpoint missing parameter {name}")
+            else:
+                value = np.asarray(arrays[name], dtype=np.float64)
+            self.params[name] = ad.parameter(value)
 
-    def _mlp(self, rng, name: str, d_in: int, d_out: int) -> None:
-        h = self.config.mlp_hidden
-        self.params[f"{name}.w1"] = ad.parameter(_glorot(rng, d_in, h))
-        self.params[f"{name}.b1"] = ad.parameter(np.zeros(h))
-        self.params[f"{name}.w2"] = ad.parameter(_glorot(rng, h, d_out))
-        self.params[f"{name}.b2"] = ad.parameter(np.zeros(d_out))
-
-    def _init_params(self, rng: np.random.Generator) -> None:
-        cfg = self.config
-        d = cfg.d_emb
-        self._mlp(rng, "emb", self.d_in, d)
+    def _shapes(self) -> dict[str, tuple]:
+        """Every parameter's shape, in the order the weights are drawn."""
+        cfg, d, h = self.config, self.config.d_emb, self.config.mlp_hidden
+        def mlp(name: str, d_in: int, d_out: int) -> dict:
+            return {f"{name}.w1": (d_in, h), f"{name}.b1": (h,),
+                    f"{name}.w2": (h, d_out), f"{name}.b2": (d_out,)}
+        shapes = mlp("emb", self.d_in, d)
         for i in range(cfg.n_layers):
-            self._mlp(rng, f"gnn{i}.m1", d, d)
-            self._mlp(rng, f"gnn{i}.m2", d, d)
-            self.params[f"gnn{i}.ln.scale"] = ad.parameter(np.ones(d))
-            self.params[f"gnn{i}.ln.shift"] = ad.parameter(np.zeros(d))
-        self._mlp(rng, "post", d, d)
-        self._mlp(rng, "grp", 2 * d, d)
-        self.params["feat.w"] = ad.parameter(_glorot(rng, self.N_SCALARS, d))
-        self.params["feat.b"] = ad.parameter(np.zeros(d))
-        self.params["tau.w"] = ad.parameter(_glorot(rng, cfg.n_tau_features, 3 * d))
-        self.params["tau.b"] = ad.parameter(np.zeros(3 * d))
-        self.params["dec.w1"] = ad.parameter(_glorot(rng, 3 * d, cfg.iqn_hidden))
-        self.params["dec.b1"] = ad.parameter(np.zeros(cfg.iqn_hidden))
-        self.params["dec.w2"] = ad.parameter(_glorot(rng, cfg.iqn_hidden, self.n_actions))
-        self.params["dec.b2"] = ad.parameter(np.zeros(self.n_actions))
+            shapes |= mlp(f"gnn{i}.m1", d, d) | mlp(f"gnn{i}.m2", d, d)
+            shapes[f"gnn{i}.ln.scale"] = shapes[f"gnn{i}.ln.shift"] = (d,)
+        shapes |= mlp("post", d, d) | mlp("grp", 2 * d, d)
+        shapes.update({"feat.w": (self.N_SCALARS, d), "feat.b": (d,),
+                       "tau.w": (cfg.n_tau_features, 3 * d), "tau.b": (3 * d,),
+                       "dec.w1": (3 * d, cfg.iqn_hidden), "dec.b1": (cfg.iqn_hidden,),
+                       "dec.w2": (cfg.iqn_hidden, self.n_actions),
+                       "dec.b2": (self.n_actions,)})
+        return shapes
 
     def n_parameters(self) -> int:
         return sum(p.data.size for p in self.params.values())
@@ -263,11 +267,7 @@ def load_checkpoint(path) -> QNetwork:
         meta = json.loads(bytes(data["__meta__"]).decode())
         if meta["version"] != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta['version']}")
-        net = QNetwork(meta["n_actions"], GNNConfig(**meta["config"]),
-                       d_in=meta["d_in"], seed=0)
-        for name in net.params:
-            key = f"param:{name}"
-            if key not in data:
-                raise ValueError(f"checkpoint missing parameter {name}")
-            net.params[name] = ad.parameter(np.asarray(data[key], dtype=np.float64))
-    return net
+        return QNetwork(meta["n_actions"], GNNConfig(**meta["config"]),
+                        d_in=meta["d_in"], arrays={
+                            key[len("param:"):]: data[key]
+                            for key in data.files if key.startswith("param:")})

@@ -404,7 +404,6 @@ def train(config: TrainConfig, instance_factory: InstanceFactory,
                 optimizer.step(net)
                 buffer.update_priorities(idx, pri)
                 losses.append(float(loss.data))
-                del loss   # frees this step's tape before the next one is built
                 optimizer_steps += 1
                 if optimizer_steps % config.target_update == 0:
                     target.copy_from(net)

@@ -169,6 +169,18 @@ def test_backward_accumulates_across_reuse():
     assert np.allclose(x.grad, [6.0])
 
 
+def test_second_backward_through_a_spent_tape_raises():
+    x = ad.parameter(np.array([1.5, -2.0]))
+    y = ad.mul(x, x)
+    loss = ad.tsum(y)
+    loss.backward()
+    assert y.grad is None and np.array_equal(x.grad, [3.0, -4.0])
+    for again in (loss, ad.tsum(ad.add(y, x))):   # the same loss; a new one over y
+        with pytest.raises(RuntimeError, match="already used"):
+            again.backward()
+    assert np.array_equal(x.grad, [3.0, -4.0])   # raised before any push
+
+
 def test_amax_routes_gradient_to_first_maximum():
     x = ad.parameter(np.array([[1.0, 3.0, 3.0]]))
     ad.tsum(ad.amax(x, axis=1)).backward()

@@ -282,6 +282,18 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
         assert t.data.dtype == again.params[name].data.dtype
 
 
+def test_load_checkpoint_draws_no_initial_weights(tmp_path, monkeypatch):
+    from jobshopls.nn import qnetwork
+
+    net = QNetwork(8, TINY, seed=16)
+    save_checkpoint(net, tmp_path / "net.npz")
+    draws = []
+    monkeypatch.setattr(qnetwork, "_glorot", lambda *args: draws.append(args))
+    again = load_checkpoint(tmp_path / "net.npz")
+    assert draws == []
+    assert list(again.params) == list(net.params)
+
+
 def test_checkpoint_rejects_missing_parameters(tmp_path):
     net = QNetwork(8, TINY, seed=17)
     p = tmp_path / "net.npz"

@@ -1,5 +1,6 @@
 """Replay buffer, n-step returns, quantile loss, and the training loop."""
 import csv
+import weakref
 
 import numpy as np
 import pytest
@@ -202,6 +203,31 @@ def loss_and_grads(loss_fn, batch, net, target, seed):
                                rng=np.random.default_rng(seed))
     loss.backward()
     return loss.data, priorities, {k: p.grad for k, p in net.params.items()}
+
+
+def interior_data_refs(root):
+    """Weak references to the data of every interior tape node below ``root``."""
+    found, stack = {}, [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if parent._push is not None and id(parent) not in found:
+                found[id(parent)] = parent
+                stack.append(parent)
+    return [weakref.ref(t.data) for t in found.values()]
+
+
+def test_backward_frees_the_tape_while_the_loss_is_held():
+    batch = mixed_batch(t_max=6, steps=8)
+    net = QNetwork(10, TINY, seed=41)
+    target = QNetwork(10, TINY, seed=42)
+    loss, _ = td_loss(batch, np.ones(len(batch)), net, target,
+                      rng=np.random.default_rng(0))
+    refs = interior_data_refs(loss)
+    assert len(refs) > 50 and all(r() is not None for r in refs)
+    loss.backward()
+    assert [r for r in refs if r() is not None] == []
+    assert np.isfinite(loss.data)
+    assert all(p.grad is not None for p in net.params.values())
 
 
 def test_td_loss_equals_per_item_reference():
