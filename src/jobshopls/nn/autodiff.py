@@ -203,15 +203,21 @@ def fold_sum(x: Tensor) -> Tensor:
     return Tensor(np.cumsum(x.data)[-1], parents=(x,), push=push)
 
 
-def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    count = x.data.size if axis is None else x.shape[axis]
+def tmean(x: Tensor, axis=None, keepdims: bool = False, count=None) -> Tensor:
+    """Mean along ``axis`` (all if None), sum then divide as ``np.mean`` does;
+    ``count``, shaped like the sum with kept dims, replaces the axis length."""
+    if count is None:
+        count = x.data.size if axis is None else x.shape[axis]
     def push(g):
         if not x.requires_grad:
             return
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
+        # divide after broadcasting: a copied broadcast view may be F-ordered
         x._accumulate(np.broadcast_to(g, x.shape) / count)
-    return Tensor(x.data.mean(axis=axis, keepdims=keepdims), parents=(x,), push=push)
+    out = x.data.sum(axis=axis, keepdims=True) / count
+    return Tensor(out if keepdims else np.squeeze(out, axis=axis),
+                  parents=(x,), push=push)
 
 
 def amax(x: Tensor, axis: int = 0) -> Tensor:
@@ -227,19 +233,21 @@ def amax(x: Tensor, axis: int = 0) -> Tensor:
     return Tensor(np.squeeze(out, axis=axis), parents=(x,), push=push)
 
 
-def rows(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather rows of a 2-D tensor."""
-    idx = np.asarray(idx, dtype=np.int64)
+def blocks(x: Tensor, sizes: Sequence[int], fill: float) -> Tensor:
+    """The consecutive row blocks of a 2-D tensor with these sizes, as one
+    (len(sizes), max(sizes), d) array padded after each block with ``fill``."""
+    sizes = np.asarray(sizes)
+    mask = np.arange(sizes.max()) < sizes[:, None]
+    out = np.full(mask.shape + x.shape[1:], fill, dtype=np.float64)
+    out[mask] = x.data
     def push(g):
         if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            np.add.at(gx, idx, g)
-            x._accumulate(gx)
-    return Tensor(x.data[idx], parents=(x,), push=push)
+            x._accumulate(g[mask])
+    return Tensor(out, parents=(x,), push=push)
 
 
 def permute_rows(x: Tensor, perm: np.ndarray) -> Tensor:
-    """Gather rows by a permutation; cheaper backward than rows()."""
+    """Gather rows by a permutation."""
     def push(g):
         if x.requires_grad:
             gx = np.empty_like(x.data)

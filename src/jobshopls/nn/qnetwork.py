@@ -16,7 +16,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..env import Observation
+from ..env import N_NODE_FEATURES, N_SCALAR_FEATURES, Observation
 from . import autodiff as ad
 from .autodiff import Tensor
 
@@ -66,10 +66,8 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 class QNetwork:
     """Parameter container plus forward passes; float64 throughout."""
 
-    N_SCALARS = 7
-
     def __init__(self, n_actions: int, config: Optional[GNNConfig] = None,
-                 d_in: int = 5, seed: Optional[int] = None,
+                 seed: Optional[int] = None,
                  arrays: Optional[Mapping[str, np.ndarray]] = None):
         """Weights drawn from ``seed`` (Glorot; zero biases, unit scales), or
         taken from ``arrays``, which maps every parameter name to its array."""
@@ -77,7 +75,6 @@ class QNetwork:
             raise ValueError("n_actions must be positive")
         self.n_actions = n_actions
         self.config = config or GNNConfig()
-        self.d_in = d_in
         self.params: dict[str, Tensor] = {}
         rng = np.random.default_rng(seed)
         for name, shape in self._shapes().items():
@@ -86,9 +83,12 @@ class QNetwork:
                          else np.ones(shape) if name.endswith(".scale")
                          else np.zeros(shape))
             elif name not in arrays:
-                raise ValueError(f"checkpoint missing parameter {name}")
+                raise ValueError(f"missing parameter {name}")
             else:
                 value = np.asarray(arrays[name], dtype=np.float64)
+                if value.shape != shape:
+                    raise ValueError(f"parameter {name} has shape {value.shape}, "
+                                     f"expected {shape}")
             self.params[name] = ad.parameter(value)
 
     def _shapes(self) -> dict[str, tuple]:
@@ -97,12 +97,12 @@ class QNetwork:
         def mlp(name: str, d_in: int, d_out: int) -> dict:
             return {f"{name}.w1": (d_in, h), f"{name}.b1": (h,),
                     f"{name}.w2": (h, d_out), f"{name}.b2": (d_out,)}
-        shapes = mlp("emb", self.d_in, d)
+        shapes = mlp("emb", N_NODE_FEATURES, d)
         for i in range(cfg.n_layers):
             shapes |= mlp(f"gnn{i}.m1", d, d) | mlp(f"gnn{i}.m2", d, d)
             shapes[f"gnn{i}.ln.scale"] = shapes[f"gnn{i}.ln.shift"] = (d,)
         shapes |= mlp("post", d, d) | mlp("grp", 2 * d, d)
-        shapes.update({"feat.w": (self.N_SCALARS, d), "feat.b": (d,),
+        shapes.update({"feat.w": (N_SCALAR_FEATURES, d), "feat.b": (d,),
                        "tau.w": (cfg.n_tau_features, 3 * d), "tau.b": (3 * d,),
                        "dec.w1": (3 * d, cfg.iqn_hidden), "dec.b1": (cfg.iqn_hidden,),
                        "dec.w2": (cfg.iqn_hidden, self.n_actions),
@@ -123,10 +123,10 @@ class QNetwork:
         return ad.mlp(x, *self._p(f"{name}.w1", f"{name}.b1",
                                   f"{name}.w2", f"{name}.b2"), sizes=sizes)
 
-    def copy_from(self, other: "QNetwork") -> None:
-        """Overwrite this net's parameters with another's (target sync)."""
-        for name, p in other.params.items():
-            self.params[name].data = p.data.copy()
+    def clone(self) -> "QNetwork":
+        """A net built from copies of this one's parameter arrays."""
+        return QNetwork(self.n_actions, self.config, arrays={
+            name: p.data.copy() for name, p in self.params.items()})
 
 
 def _checked_group_sizes(obs: Observation, where: str) -> np.ndarray:
@@ -178,19 +178,10 @@ def encode(observations: Sequence[Observation],
         h = _gnn_layer(h, nbr[kind], net, i, sizes)
     omega_node = net._run_mlp("post", h, sizes)
 
-    order = np.argsort(groups, kind="stable")
-    if np.all(counts == counts[0]):
-        # equal-size groups (always true for JSSP) pool in one shot
-        stacked = ad.reshape(ad.permute_rows(omega_node, order),
-                             (counts.size, counts[0], -1))
-        pooled = ad.concat([ad.amax(stacked, axis=1),
-                            ad.tmean(stacked, axis=1)], axis=1)
-    else:
-        members = [ad.rows(omega_node, ids)
-                   for ids in np.split(order, np.cumsum(counts)[:-1])]
-        pooled = ad.concat([ad.reshape(ad.concat([ad.amax(x, axis=0),
-                                                  ad.tmean(x, axis=0)]), (1, -1))
-                            for x in members])
+    # each group's rows in one padded block: -inf never wins the max
+    grouped = ad.permute_rows(omega_node, np.argsort(groups, kind="stable"))
+    pooled = ad.concat([ad.amax(ad.blocks(grouped, counts, -np.inf), axis=1),
+                        _block_means(grouped, counts)], axis=1)
     # one call for all groups: a one-row call would round differently (gemv)
     omega_grp = net._run_mlp("grp", pooled, [obs.n_groups for obs in observations])
 
@@ -201,43 +192,41 @@ def encode(observations: Sequence[Observation],
     return omega_node, omega_grp, omega_feat
 
 
-def _graph_means(x: Tensor, sizes: list) -> Tensor:
-    """(B, d) means of the consecutive row blocks of ``x`` with these sizes."""
-    if all(s == sizes[0] for s in sizes):
-        return ad.tmean(ad.reshape(x, (len(sizes), sizes[0], x.shape[1])), axis=1)
-    return ad.concat([ad.tmean(ad.rows(x, np.arange(e - s, e)), axis=0, keepdims=True)
-                      for s, e in zip(sizes, np.cumsum(sizes))])
+def _block_means(x: Tensor, sizes: Sequence[int]) -> Tensor:
+    """(len(sizes), d) means of the consecutive row blocks of ``x`` with these
+    sizes. The sum over a block adds its rows one at a time, so the pads,
+    -0.0 (x + -0.0 == x, for x = -0.0 too), leave it exact."""
+    sizes = np.asarray(sizes)
+    return ad.tmean(ad.blocks(x, sizes, -0.0), axis=1, count=sizes[:, None, None])
 
 
 def batch_q_values(observations: Sequence[Observation], net: QNetwork,
-                   taus: Sequence[np.ndarray]) -> tuple[Tensor, Tensor]:
-    """One forward over the disjoint union of B observations, graph b at
-    quantile levels ``taus[b]``: the (sum |taus[b]|, |A|) quantile rows in
-    graph order and the (B, |A|) mean Q. Equal bit for bit to B single
-    forwards if each |taus[b]| is a multiple of 4 and each graph has two or
-    more groups (BLAS rounds gemm rows by 4-row blocks, gemv differently);
-    then the gradients of a loss summed over the graphs in order are equal
-    too, since the backward reduces and multiplies per graph."""
-    taus = [np.asarray(t, dtype=np.float64) for t in taus]
-    if not taus or len(taus) != len(observations) or min(t.size for t in taus) == 0:
-        raise ValueError("each observation needs a nonempty array of taus")
+                   taus: np.ndarray) -> tuple[Tensor, Tensor]:
+    """One forward over the disjoint union of B observations, graph b at the
+    quantile levels in row b of the (B, K) array ``taus``: the (B K, |A|)
+    quantile rows in graph order and the (B, |A|) mean Q. Equal bit for bit
+    to B single forwards, and so are the gradients of a loss summed over the
+    graphs in order, if K is a multiple of 4 and each graph has two or more
+    groups (BLAS rounds gemm rows by 4-row blocks, gemv differently)."""
+    if (len({np.shape(t) for t in taus}) != 1 or np.ndim(taus) != 2
+            or len(taus) != len(observations) or np.size(taus) == 0):
+        raise ValueError("taus must be a nonempty (B, K) array, a row per observation")
+    taus = np.asarray(taus, dtype=np.float64)
     omega_node, omega_grp, omega_feat = encode(observations, net)
-    pooled = ad.concat([_graph_means(omega_node,
+    pooled = ad.concat([_block_means(omega_node,
                                      [len(o.node_feats) for o in observations]),
-                        _graph_means(omega_grp, [o.n_groups for o in observations]),
+                        _block_means(omega_grp, [o.n_groups for o in observations]),
                         omega_feat], axis=1)
-    m = np.arange(net.config.n_tau_features)
-    cos_feats = np.cos(np.pi * np.concatenate(taus)[:, None] * m[None, :])
-    ks = [t.size for t in taus]
+    (b, k), m = taus.shape, np.arange(net.config.n_tau_features)
+    cos_feats = np.cos(np.pi * taus.reshape(-1, 1) * m[None, :])
+    ks = [k] * b
     phi = ad.gelu(ad.linear(ad.constant(cos_feats), *net._p("tau.w", "tau.b"), ks))
-    if all(k == ks[0] for k in ks):   # one pooled row broadcast over its taus
-        fused = ad.reshape(ad.mul(ad.reshape(pooled, (len(ks), 1, -1)), ad.reshape(
-            phi, (len(ks), ks[0], -1))), phi.shape)
-    else:
-        fused = ad.mul(ad.rows(pooled, np.repeat(np.arange(len(ks)), ks)), phi)
+    # one pooled row broadcast over its graph's taus
+    fused = ad.reshape(ad.mul(ad.reshape(pooled, (b, 1, -1)),
+                              ad.reshape(phi, (b, k, -1))), phi.shape)
     hidden = ad.gelu(ad.linear(fused, *net._p("dec.w1", "dec.b1"), ks))
     z = ad.linear(hidden, *net._p("dec.w2", "dec.b2"), ks)
-    return z, _graph_means(z, ks)
+    return z, _block_means(z, ks)
 
 
 def q_values(obs: Observation, net: QNetwork,
@@ -249,12 +238,8 @@ def q_values(obs: Observation, net: QNetwork,
 
 def save_checkpoint(net: QNetwork, path) -> None:
     """Dump config plus every parameter array; round-trips bit-exactly."""
-    meta = {
-        "version": CHECKPOINT_VERSION,
-        "n_actions": net.n_actions,
-        "d_in": net.d_in,
-        "config": asdict(net.config),
-    }
+    meta = {"version": CHECKPOINT_VERSION, "n_actions": net.n_actions,
+            "config": asdict(net.config)}
     arrays = {f"param:{name}": p.data for name, p in net.params.items()}
     with open(path, "wb") as fh:
         np.savez(fh, __meta__=np.frombuffer(
@@ -263,11 +248,15 @@ def save_checkpoint(net: QNetwork, path) -> None:
 
 
 def load_checkpoint(path) -> QNetwork:
+    """The net saved at ``path``; a missing parameter or one of the wrong
+    shape raises ``ValueError`` naming it and the file."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["__meta__"]).decode())
         if meta["version"] != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta['version']}")
-        return QNetwork(meta["n_actions"], GNNConfig(**meta["config"]),
-                        d_in=meta["d_in"], arrays={
-                            key[len("param:"):]: data[key]
-                            for key in data.files if key.startswith("param:")})
+        try:
+            return QNetwork(meta["n_actions"], GNNConfig(**meta["config"]), arrays={
+                key[len("param:"):]: data[key]
+                for key in data.files if key.startswith("param:")})
+        except ValueError as err:
+            raise ValueError(f"checkpoint {path}: {err}") from None

@@ -261,7 +261,7 @@ def td_loss(batch: Sequence[Transition], weights: np.ndarray, net: QNetwork,
     # one gradient forward over the union; the loss stays per item
     n = len(batch)
     taus = np.array([d[0] for d in draws])                     # (B, K)
-    z, _ = batch_q_values([tr.obs for tr in batch], net, list(taus))
+    z, _ = batch_q_values([tr.obs for tr in batch], net, taus)
     pick = np.eye(net.n_actions)[[tr.action for tr in batch], None]   # (B, 1, A)
     # every other term of the sum is +-0, so z_a is exact
     z_a = ad.tsum(ad.mul(ad.reshape(z, (n, k_taus, -1)), ad.constant(pick)),
@@ -348,10 +348,9 @@ def train(config: TrainConfig, instance_factory: InstanceFactory,
           out_dir: Optional[Path] = None) -> TrainResult:
     """Interleave collection and optimization; keep the validation-best net."""
     rng = np.random.default_rng(seed)
-    n_actions = config.action_space.n_actions
-    net = QNetwork(n_actions, config.net, seed=int(rng.integers(1 << 31)))
-    target = QNetwork(n_actions, config.net, seed=0)
-    target.copy_from(net)
+    net = QNetwork(config.action_space.n_actions, config.net,
+                   seed=int(rng.integers(1 << 31)))
+    target = net.clone()
     optimizer = Adam(net, lr=config.lr)
     buffer = ReplayBuffer(config.buffer_capacity, config.per_alpha,
                           config.per_beta)
@@ -373,7 +372,7 @@ def train(config: TrainConfig, instance_factory: InstanceFactory,
     t_start = time.time()
     history: list[EpochRow] = []
     best_val = validation_score(net)
-    best_params = {k: p.data.copy() for k, p in net.params.items()}
+    best_net = net.clone()
     history.append(EpochRow(0, float("nan"), config.eps_start, best_val,
                             time.time() - t_start))
 
@@ -406,7 +405,7 @@ def train(config: TrainConfig, instance_factory: InstanceFactory,
                 losses.append(float(loss.data))
                 optimizer_steps += 1
                 if optimizer_steps % config.target_update == 0:
-                    target.copy_from(net)
+                    target = net.clone()
         val = validation_score(net)
         history.append(EpochRow(epoch, float(np.mean(losses)) if losses
                                 else float("nan"),
@@ -414,11 +413,7 @@ def train(config: TrainConfig, instance_factory: InstanceFactory,
                                 time.time() - t_start))
         if val < best_val:
             best_val = val
-            best_params = {k: p.data.copy() for k, p in net.params.items()}
-
-    best_net = QNetwork(n_actions, config.net, seed=0)
-    for name, arr in best_params.items():
-        best_net.params[name].data = arr.copy()
+            best_net = net.clone()
 
     checkpoint_path = log_path = None
     if out_dir is not None:

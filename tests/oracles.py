@@ -293,6 +293,20 @@ def reference_ls_step(graph, op):
 # These are the per-item versions the package ran before its forward took a
 # disjoint union of graphs; the batched code must match them bit for bit.
 
+def rows(x, idx):
+    """Gather rows of a 2-D tensor (repeats allowed): the autodiff op the
+    reference encoder pools unequal groups with."""
+    from jobshopls.nn import autodiff as ad
+
+    idx = np.asarray(idx, dtype=np.int64)
+    def push(g):
+        if x.requires_grad:
+            gx = np.zeros_like(x.data)
+            np.add.at(gx, idx, g)
+            x._accumulate(gx)
+    return ad.Tensor(x.data[idx], parents=(x,), push=push)
+
+
 def reference_encode(obs, net):
     """Per-node, per-group and (1, d) scalar-feature embeddings of one graph."""
     from jobshopls.nn import autodiff as ad
@@ -317,7 +331,7 @@ def reference_encode(obs, net):
     else:
         group_rows = []
         for k in range(obs.n_groups):
-            members = ad.rows(omega_node, np.flatnonzero(obs.groups == k))
+            members = rows(omega_node, np.flatnonzero(obs.groups == k))
             pooled = ad.concat([ad.amax(members, axis=0),
                                 ad.tmean(members, axis=0)], axis=0)
             group_rows.append(net._run_mlp("grp", ad.reshape(pooled, (1, -1))))

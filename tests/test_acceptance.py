@@ -211,8 +211,7 @@ def test_c07_fixed_batch_overfits_ten_fold():
     batch = collect([env], None, 1.0, 33, np.random.default_rng(7), n_step=3)[:32]
     assert all(t.done for t in batch)
     net = QNetwork(10, TINY, seed=11)
-    target = QNetwork(10, TINY, seed=11)
-    target.copy_from(net)
+    target = net.clone()
     opt = Adam(net, lr=5e-3)
     weights = np.ones(32)
 

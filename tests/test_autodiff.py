@@ -53,11 +53,44 @@ def test_gelu_matches_exact_formula():
 
 
 def test_mean_max_and_gather():
+    from oracles import rows
+
     def build(t):
-        picked = ad.rows(t, np.array([0, 2, 2]))
+        picked = rows(t, np.array([0, 2, 2]))
         return ad.add(ad.tsum(ad.amax(picked, axis=0)),
                       ad.tmean(t))
     check(build, (4, 3))
+
+
+@pytest.mark.parametrize("fill", [-np.inf, 0.0])
+def test_blocks_pads_and_gradient(fill):
+    sizes = [2, 4, 1]
+    x = np.arange(14.0).reshape(7, 2)
+    out = ad.blocks(ad.constant(x), sizes, fill).data
+    assert out.shape == (3, 4, 2)
+    assert np.array_equal(out[1], x[2:6]) and np.array_equal(out[2, 0], x[6])
+    assert np.all(out[0, 2:] == fill) and np.all(out[2, 1:] == fill)
+    # the pads reach the output but take no gradient
+    r = np.random.default_rng(11).standard_normal((3, 4, 2))
+    def build(t):
+        b = ad.blocks(t, sizes, fill)
+        if fill == -np.inf:
+            return ad.tsum(ad.mul(ad.amax(b, axis=1), ad.constant(r[:, 0])))
+        return ad.tsum(ad.mul(b, ad.constant(r)))
+    check(build, (7, 2), seed=12)
+
+
+def test_tmean_with_counts():
+    count = np.array([2.0, 4.0, 1.0])[:, None, None]
+    r = np.random.default_rng(13).standard_normal((3, 2))
+    check(lambda t: ad.tsum(ad.mul(ad.tmean(t, axis=1, count=count),
+                                   ad.constant(r))), (3, 4, 2), seed=14)
+    x = np.random.default_rng(15).standard_normal((3, 4, 2))
+    # the same bits as np.mean when the count is the axis length
+    assert np.array_equal(ad.tmean(ad.constant(x), axis=1,
+                                   count=np.full((3, 1, 1), 4)).data, x.mean(axis=1))
+    assert np.array_equal(ad.tmean(ad.constant(x), axis=1, keepdims=True).data,
+                          x.mean(axis=1, keepdims=True))
 
 
 def test_concat_splits_gradient():

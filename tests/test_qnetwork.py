@@ -166,12 +166,12 @@ def stepped_obs(j, m, seed):
 
 
 UNION_BATCHES = {
-    # equal sizes and tau counts: one-shot group pooling, reshaped means
-    "6x6": ([(6, 6)] * 12, [8] * 12),
-    # per-graph tau counts, all multiples of the 4-row gemm block
-    "unequal-k": ([(6, 6)] * 4, [4, 8, 12, 16]),
-    # 6-op and 8-op groups in one union: the per-group pooling branch
-    "6x6+8x4": ([(6, 6), (8, 4)] * 3, [8] * 6),
+    # equal graph and group sizes: no block is padded
+    "6x6": ([(6, 6)] * 12, 8),
+    # a larger tau count, a multiple of the 4-row gemm block
+    "k16": ([(6, 6)] * 4, 16),
+    # 6-op and 8-op groups, 36 and 32 nodes in one union: padded blocks
+    "6x6+8x4": ([(6, 6), (8, 4)] * 3, 8),
 }
 
 
@@ -180,12 +180,12 @@ UNION_BATCHES = {
 def test_union_forward_equals_per_graph_forwards(batch, scale):
     from oracles import reference_q_values
 
-    shapes, ks = UNION_BATCHES[batch]
+    shapes, k = UNION_BATCHES[batch]
     config = GNNConfig.desk_scale() if scale == "desk" else GNNConfig()
     net = QNetwork(10, config, seed=31)
     rng = np.random.default_rng(32)
     observations = [stepped_obs(j, m, seed) for seed, (j, m) in enumerate(shapes)]
-    taus = [rng.uniform(size=k) for k in ks]
+    taus = rng.uniform(size=(len(shapes), k))
     with ad.no_grad():
         z, q = batch_q_values(observations, net, taus)
         want = [reference_q_values(o, net, t) for o, t in zip(observations, taus)]
@@ -195,17 +195,17 @@ def test_union_forward_equals_per_graph_forwards(batch, scale):
 
 def test_union_forward_with_unaligned_tau_counts_is_within_rounding():
     # BLAS rounds a gemm row by where it falls in the kernel's 4-row blocks,
-    # so tau counts that are not multiples of 4 may move the last bit
+    # so a tau count that is not a multiple of 4 may move the last bit
     from oracles import reference_q_values
 
     net = QNetwork(10, GNNConfig.desk_scale(), seed=33)
     rng = np.random.default_rng(34)
     observations = [stepped_obs(6, 6, seed) for seed in range(5)]
-    taus = [rng.uniform(size=k) for k in (3, 1, 5, 8, 2)]
+    taus = rng.uniform(size=(5, 5))
     with ad.no_grad():
         z, q = batch_q_values(observations, net, taus)
         want = [reference_q_values(o, net, t) for o, t in zip(observations, taus)]
-    assert z.shape == (19, 10) and q.shape == (5, 10)
+    assert z.shape == (25, 10) and q.shape == (5, 10)
     assert np.allclose(z.data, np.concatenate([zr.data for zr, _ in want]),
                        rtol=1e-13, atol=1e-15)
     assert np.allclose(q.data, np.stack([qr.data for _, qr in want]),
@@ -242,6 +242,10 @@ def test_union_forward_needs_taus_for_every_graph():
         batch_q_values([obs], net, [[]])
     with pytest.raises(ValueError, match="taus"):
         batch_q_values([], net, [])
+    with pytest.raises(ValueError, match="taus"):   # ragged: one K per forward
+        batch_q_values([obs, obs], net, [[0.5], [0.25, 0.75]])
+    with pytest.raises(ValueError, match="taus"):   # 1-D: no row per graph
+        batch_q_values([obs, obs], net, [0.25, 0.75])
 
 
 @pytest.mark.parametrize("make", [
@@ -304,6 +308,34 @@ def test_checkpoint_rejects_missing_parameters(tmp_path):
     np.savez(tmp_path / "broken.npz", **data)
     with pytest.raises((KeyError, ValueError)):
         load_checkpoint(tmp_path / "broken.npz")
+
+
+def test_load_checkpoint_rejects_a_parameter_of_the_wrong_shape(tmp_path):
+    net = QNetwork(8, TINY, seed=17)
+    save_checkpoint(net, tmp_path / "net.npz")
+    data = dict(np.load(tmp_path / "net.npz", allow_pickle=False))
+    data["param:dec.w2"] = data["param:dec.w2"][:, :3]
+    np.savez(tmp_path / "cut.npz", **data)
+    with pytest.raises(ValueError, match=r"cut\.npz: parameter dec\.w2 has shape "
+                       r"\(16, 3\), expected \(16, 8\)"):
+        load_checkpoint(tmp_path / "cut.npz")
+
+
+def test_load_checkpoint_ignores_a_stored_input_width(tmp_path):
+    # files written before the widths came from env.N_NODE_FEATURES hold d_in
+    import json
+
+    net = QNetwork(8, TINY, seed=18)
+    save_checkpoint(net, tmp_path / "net.npz")
+    data = dict(np.load(tmp_path / "net.npz", allow_pickle=False))
+    meta = json.loads(bytes(data["__meta__"]).decode())
+    assert "d_in" not in meta
+    meta["d_in"] = 5
+    data["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(tmp_path / "old.npz", **data)
+    again = load_checkpoint(tmp_path / "old.npz")
+    for name, t in net.params.items():
+        assert np.array_equal(t.data, again.params[name].data), name
 
 
 def test_parameter_count_scales_with_width():

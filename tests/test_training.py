@@ -142,8 +142,7 @@ def test_loss_on_fixed_batch_decreases_with_steps():
     env = EnvHandle(lambda rng: inst, ActionSpace.ANP, t_max=3, seed=9)
     batch = collect([env], None, 1.0, 12, np.random.default_rng(7), n_step=3)
     net = QNetwork(10, TINY, seed=11)
-    target = QNetwork(10, TINY, seed=11)
-    target.copy_from(net)
+    target = net.clone()
     opt = Adam(net, lr=5e-3)
     w = np.ones(len(batch))
 
@@ -167,8 +166,7 @@ def test_importance_weights_shrink_priority_updates():
     env = EnvHandle(lambda rng: inst, ActionSpace.ANP, t_max=3, seed=9)
     batch = collect([env], None, 1.0, 6, np.random.default_rng(8), n_step=3)
     net = QNetwork(10, TINY, seed=12)
-    target = QNetwork(10, TINY, seed=12)
-    target.copy_from(net)
+    target = net.clone()
     half = np.full(len(batch), 0.5)
     full = np.ones(len(batch))
     l_half, _ = td_loss(batch, half, net, target, rng=np.random.default_rng(1))
@@ -350,6 +348,22 @@ def test_train_micro_run_writes_artifacts(tmp_path):
     assert float(rows[1]["val_makespan"]) == pytest.approx(result.best_validation)
     assert np.isfinite(result.best_validation)
     assert len(result.history) == 2
+
+
+def test_train_draws_the_weights_of_one_net(monkeypatch):
+    from jobshopls.nn import qnetwork
+
+    cfg = TrainConfig(epochs=1, transitions_per_epoch=12, warmup=4,
+                      batch_size=4, optimize_every=4, t_max=3, net=TINY,
+                      n_validation=1)
+    n_matrices = sum(len(shape) == 2 for shape in QNetwork(
+        cfg.action_space.n_actions, TINY, seed=0)._shapes().values())
+    draws, glorot = [], qnetwork._glorot
+    monkeypatch.setattr(qnetwork, "_glorot",
+                        lambda *args: draws.append(args) or glorot(*args))
+    # the target and the best net are built from the online net's arrays
+    train(cfg, lambda rng: generate_instance(3, 3, seed=0), seed=0)
+    assert len(draws) == n_matrices
 
 
 def test_adam_descends_a_quadratic():

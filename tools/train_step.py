@@ -6,7 +6,8 @@ Run from the root of a checkout:
 
 For the desk-scale and the full-scale net on a random 6x6 and a random 15x15
 instance, it collects BATCH transitions with random actions (action space A
-and the horizon of ``TrainConfig``) and runs ``td_loss`` plus ``backward`` on
+and the horizon of ``TrainConfig``; an n-step transition needs n steps, so it
+takes BATCH + n - 1 steps) and runs ``td_loss`` plus ``backward`` on
 them, as one optimizer step of ``training.train`` does. It records the
 minimum wall time over REPEATS steps, untraced, and the ``tracemalloc`` peak
 of one more step: the most memory the step held at once, beyond what was
@@ -52,8 +53,11 @@ def measure(net_config: GNNConfig, size: int) -> dict:
     config = TrainConfig()
     inst = generate_instance(size, size, seed=0)
     env = EnvHandle(lambda rng: inst, config.action_space, config.t_max, seed=0)
-    batch = collect([env], None, 1.0, BATCH, np.random.default_rng(0),
-                    n_step=config.n_step, gamma=config.gamma, k_taus=config.k_taus)
+    batch = collect([env], None, 1.0, BATCH + config.n_step - 1,
+                    np.random.default_rng(0), n_step=config.n_step,
+                    gamma=config.gamma, k_taus=config.k_taus)
+    if len(batch) != BATCH:
+        raise RuntimeError(f"collected {len(batch)} transitions, not {BATCH}")
     net = QNetwork(config.action_space.n_actions, net_config, seed=0)
     target = QNetwork(config.action_space.n_actions, net_config, seed=1)
     walls = []
