@@ -163,8 +163,8 @@ class SearchGraph:
     op ids per machine; a moved graph shares its parent's unmoved rows. The
     per-op lists are indexed by flat op id (job * n_machines + pos), with
     two extra virtual slots for the source (id n_ops) and sink (id n_ops +
-    1); the scalar walkers read them as Python ints, and the numpy views
-    (``mach_order``, ``head``, ``tail``) are derived on first use.
+    1), and hold Python ints for the scalar walkers. Processing times and
+    job neighbours are the instance's ``flat_ops``.
     """
 
     instance: Instance
@@ -172,9 +172,6 @@ class SearchGraph:
     rows: tuple               # M tuples of flat op ids in machine-sequence order
     h: list                   # heads: earliest start times
     q: list                   # tails: longest path to the sink, excluding own proc
-    p: tuple                  # processing times, zero for the virtual slots
-    job_pred: tuple
-    job_succ: tuple
     mach_pred: list
     mach_succ: list
     topo: list                # real ops in the topological order of the build
@@ -185,38 +182,6 @@ class SearchGraph:
         """The machine orders as OpId lists."""
         M = self.instance.n_machines
         return Solution([[OpId(*divmod(v, M)) for v in row] for row in self.rows])
-
-    @cached_property
-    def mach_order(self) -> np.ndarray:
-        """``rows`` as a read-only (M, J) array."""
-        inst = self.instance
-        order = np.array(self.rows, dtype=np.int64).reshape(inst.n_machines,
-                                                            inst.n_jobs)
-        order.setflags(write=False)
-        return order
-
-    @cached_property
-    def head(self) -> np.ndarray:
-        return np.array(self.h, dtype=np.int64)
-
-    @cached_property
-    def tail(self) -> np.ndarray:
-        return np.array(self.q, dtype=np.int64)
-
-    @cached_property
-    def pos_on_machine(self) -> np.ndarray:
-        """Index of each op within its machine's sequence."""
-        J, M = self.instance.n_jobs, self.instance.n_machines
-        pos = np.empty(self.instance.n_ops, dtype=np.int64)
-        pos[self.mach_order.reshape(-1)] = np.tile(np.arange(J), M)
-        return pos
-
-    @cached_property
-    def critical_mask(self) -> np.ndarray:
-        """Boolean mask over flat op ids: h + p + q == makespan."""
-        n = self.instance.n_ops
-        p = self.instance.proc.reshape(-1)
-        return self.head[:n] + p + self.tail[:n] == self.makespan
 
 
 def _checked_rows(instance: Instance, solution) -> tuple:
@@ -348,9 +313,8 @@ def _longest_paths(instance: Instance, rows: tuple, mp: list, ms: list,
     M = instance.n_machines
     return SearchGraph(instance=instance,
                        makespan=max(end[M - 1:n:M] if M else [], default=0),
-                       rows=rows, h=head, q=tail, p=pl, job_pred=jp,
-                       job_succ=js, mach_pred=mp, mach_succ=ms, topo=topo,
-                       end=end, out=out)
+                       rows=rows, h=head, q=tail, mach_pred=mp, mach_succ=ms,
+                       topo=topo, end=end, out=out)
 
 
 def critical_path(graph: SearchGraph) -> list[int]:
@@ -370,8 +334,8 @@ def critical_blocks(graph: SearchGraph) -> list[CriticalBlock]:
     """
     n = graph.instance.n_ops
     h, end, cmax = graph.h, graph.end, graph.makespan
-    mp, jp, rows = graph.mach_pred, graph.job_pred, graph.rows
-    *_, machine = graph.instance.flat_ops
+    mp, rows = graph.mach_pred, graph.rows
+    _, jp, _, machine = graph.instance.flat_ops
     if not n:
         return []
     # path ends end at the makespan, so their tails are zero; max() keeps the

@@ -22,7 +22,6 @@ from .dispatch import DispatchRule, dispatch
 from .neighborhood import (
     OPERATOR_ORDER,
     Operator,
-    Perturbation,
     Proposal,
     ls_step,
     perturb,
@@ -117,7 +116,7 @@ class EnvState:
     n_perturbations: int      # jumps: perturbations (and a controller's restarts)
     last_accept: int
     last_operator: Operator
-    perturbation: Perturbation
+    strength: int             # random CT moves per perturbation action
     rng: np.random.Generator
     nbr_stat: np.ndarray = field(repr=False, default=None)
     # the graph whose ls_step under last_operator gave ``pending``; None
@@ -145,17 +144,21 @@ def observe(state: EnvState) -> Observation:
     """Build the policy view of the working (pending-applied) state."""
     graph = state.pending.graph if state.pending is not None else state.graph
     inst = state.instance
-    n = inst.n_ops
+    J, n = inst.n_jobs, inst.n_ops
     cmax = max(graph.makespan, 1)
-    p = inst.proc.reshape(-1).astype(np.float64)
-    p_max = max(inst.max_proc, 1)
+    p = inst.proc.reshape(-1)
+    head = np.array(graph.h[:n], dtype=np.int64)
+    tail = np.array(graph.q[:n], dtype=np.int64)
+    order = np.array(graph.rows, dtype=np.int64).reshape(inst.n_machines, J)
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(J)     # each op's index on its machine
 
     x = np.empty((n, N_NODE_FEATURES), dtype=np.float64)
-    x[:, 0] = p / p_max
-    x[:, 1] = graph.head[:n] / cmax
-    x[:, 2] = graph.tail[:n] / cmax
-    x[:, 3] = graph.critical_mask.astype(np.float64)
-    x[:, 4] = graph.pos_on_machine / max(inst.n_jobs, 1)
+    x[:, 0] = p / max(inst.max_proc, 1)
+    x[:, 1] = head / cmax
+    x[:, 2] = tail / cmax
+    x[:, 3] = head + p + tail == graph.makespan    # critical ops
+    x[:, 4] = pos / max(J, 1)
 
     f0 = max(state.init_cost, 1)
     scalars = np.array([
@@ -172,7 +175,7 @@ def observe(state: EnvState) -> Observation:
         scalars=scalars,
         node_feats=x,
         nbr_stat=state.nbr_stat,
-        nbr_dyna=_chain_neighbors(graph.mach_order, n),
+        nbr_dyna=_chain_neighbors(order, n),
         groups=inst.machine.reshape(-1).copy(),
         n_groups=inst.n_machines,
     )
@@ -185,6 +188,8 @@ def reset(instance: Instance, action_space: ActionSpace = ActionSpace.ANP,
     """Construct (FDD/MWKR), take one CT step to create the first proposal."""
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
+    if perturbation_strength < 0:
+        raise ValueError("perturbation strength must be >= 0")
     rng = np.random.default_rng(seed)
     graph = build_graph(instance, dispatch(instance, DispatchRule.FDD_over_MWKR))
     init_cost = graph.makespan
@@ -203,7 +208,7 @@ def reset(instance: Instance, action_space: ActionSpace = ActionSpace.ANP,
         n_perturbations=0,
         last_accept=0,
         last_operator=Operator.CT,
-        perturbation=Perturbation(strength=perturbation_strength),
+        strength=perturbation_strength,
         rng=rng,
         nbr_stat=_chain_neighbors(job_ids, instance.n_ops),
     )
@@ -271,7 +276,7 @@ def step(state: EnvState, action: int
     accept, operator, wants_pert = state.action_space.decode(action)
     jump = None
     if wants_pert:
-        jump = lambda graph: perturb(graph, state.perturbation, state.rng)
+        jump = lambda graph: perturb(graph, state.strength, state.rng)
     best_before = state.best_cost
     transition(state, accept, operator, jump)
     reward = float(best_before - state.best_cost)

@@ -20,7 +20,7 @@ import numpy as np
 from .core import Instance, Solution, build_graph
 from .dispatch import DispatchRule, stochastic_dispatch
 from .env import reset as env_reset, transition
-from .neighborhood import OPERATOR_ORDER, Operator, Perturbation, perturb
+from .neighborhood import OPERATOR_ORDER, Operator, perturb
 # not called here, but perfbench/tracing.py patches metaheuristics.dispatch
 # and metaheuristics.ls_step and fails on a name it cannot find
 from .dispatch import dispatch  # noqa: F401
@@ -84,18 +84,6 @@ class ControllerConfig:
 
 
 @dataclass
-class ControllerDecision:
-    accept_last: bool
-    next_operator: Operator
-    perturb: Optional[Perturbation] = None
-    restart: Optional[float] = None    # FDD/MWKR top-3 sampling noise
-
-    def __post_init__(self):
-        if self.perturb is not None and self.restart is not None:
-            raise ValueError("perturb and restart are mutually exclusive")
-
-
-@dataclass
 class SearchView:
     """What a controller is allowed to see before deciding.
 
@@ -138,16 +126,17 @@ class Controller:
             return False
         return float(self.rng.random()) < math.exp(-delta / self.temperature)
 
-    def decide(self, view: SearchView) -> ControllerDecision:
+    def decide(self, view: SearchView) -> tuple[bool, Operator, str]:
+        """(accept the pending proposal, next operator, event), where the
+        event is '', 'perturb' or 'restart' as in ``TraceRow``."""
         cfg = self.config
         kind = cfg.kind
         if kind in (ControllerKind.SA, ControllerKind.SA_RESTART):
             accept = self._sa_accept(view.delta)
             self.temperature *= self.alpha_t
-            restart = None
-            if kind is ControllerKind.SA_RESTART and view.stall >= cfg.restart_after:
-                restart = cfg.restart_noise
-            return ControllerDecision(accept, Operator.CET, restart=restart)
+            restart = (kind is ControllerKind.SA_RESTART
+                       and view.stall >= cfg.restart_after)
+            return accept, Operator.CET, "restart" if restart else ""
 
         if kind in (ControllerKind.ILS, ControllerKind.ILS_SA):
             if kind is ControllerKind.ILS:
@@ -156,24 +145,19 @@ class Controller:
             else:
                 accept = self._sa_accept(view.delta)
                 self.temperature *= self.alpha_t
-            pert = None
-            if view.stall >= cfg.n_stall:
-                pert = Perturbation(strength=cfg.strength)
-            return ControllerDecision(accept, Operator.CET, perturb=pert)
+            return accept, Operator.CET, "perturb" if view.stall >= cfg.n_stall else ""
 
         # VNS: strict improvement, operator cycle, shake when exhausted
         improving = (view.pending_cost is not None
                      and view.pending_cost < view.committed_cost)
-        pert = None
+        event = ""
         if improving:
             self.cursor = 0
         else:
             self.cursor += 1
             if self.cursor >= len(cfg.operator_order):
-                self.cursor = 0
-                pert = Perturbation(strength=cfg.strength)
-        return ControllerDecision(improving, cfg.operator_order[self.cursor],
-                                  perturb=pert)
+                self.cursor, event = 0, "perturb"
+        return improving, cfg.operator_order[self.cursor], event
 
 
 class TraceRow(NamedTuple):
@@ -199,6 +183,8 @@ def run(config: Union[ControllerConfig, ControllerKind], instance: Instance,
     One iteration is one controller decision plus one LS step, the same
     budget unit the learned policies consume. Deterministic given the seed.
     """
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
     if isinstance(config, ControllerKind):
         config = ControllerConfig.for_kind(config)
     rng = np.random.default_rng(seed)
@@ -212,24 +198,22 @@ def run(config: Union[ControllerConfig, ControllerKind], instance: Instance,
     trace: list[TraceRow] = []
     while not state.done:
         pending = state.pending
-        decision = ctrl.decide(SearchView(
+        accept, operator, event = ctrl.decide(SearchView(
             committed_cost=state.graph.makespan,
             pending_cost=None if pending is None else pending.new_cost,
             best_cost=state.best_cost,
             stall=state.stall,
         ))
-        event, jump = "", None
-        if decision.restart is not None:
-            event = "restart"
+        jump = None
+        if event == "restart":
             jump = lambda _: build_graph(instance, stochastic_dispatch(
-                instance, DispatchRule.FDD_over_MWKR, decision.restart,
+                instance, DispatchRule.FDD_over_MWKR, config.restart_noise,
                 seed=int(rng.integers(1 << 31))))
-        elif decision.perturb is not None:
-            event, jump = "perturb", lambda graph: perturb(graph, decision.perturb, rng)
-        transition(state, decision.accept_last, decision.next_operator, jump)
-        trace.append(TraceRow(state.t, decision.next_operator.value,
-                              decision.accept_last, state.graph.makespan,
-                              state.best_cost, event))
+        elif event == "perturb":
+            jump = lambda graph: perturb(graph, config.strength, rng)
+        transition(state, accept, operator, jump)
+        trace.append(TraceRow(state.t, operator.value, accept,
+                              state.graph.makespan, state.best_cost, event))
 
     return RunResult(best_solution=state.best_solution,
                      best_cost=state.best_cost, trace=trace)

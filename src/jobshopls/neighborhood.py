@@ -74,17 +74,6 @@ class Move(NamedTuple):
     pos_b: int
 
 
-@dataclass(frozen=True)
-class Perturbation:
-    """A diversification request: ``strength`` random CT moves in a row."""
-
-    strength: int = 3
-
-    def __post_init__(self):
-        if self.strength < 0:
-            raise ValueError("perturbation strength must be >= 0")
-
-
 class MoveEval(NamedTuple):
     move: Move
     estimate: int
@@ -154,9 +143,10 @@ def _pair_estimate(graph: SearchGraph, m: int, i: int) -> int:
     pair cannot change, so this is the classical O(1) evaluation.
     """
     u, v = graph.rows[m][i: i + 2]
-    h, q, p = graph.h, graph.q, graph.p
-    jp_u, jp_v = graph.job_pred[u], graph.job_pred[v]
-    js_u, js_v = graph.job_succ[u], graph.job_succ[v]
+    h, q = graph.h, graph.q
+    p, job_pred, job_succ, _ = graph.instance.flat_ops
+    jp_u, jp_v = job_pred[u], job_pred[v]
+    js_u, js_v = job_succ[u], job_succ[v]
     mp_u, ms_v = graph.mach_pred[u], graph.mach_succ[v]
 
     h_v = max(h[jp_v] + p[jp_v], h[mp_u] + p[mp_u])
@@ -180,8 +170,8 @@ def _window_estimate(graph: SearchGraph, m: int, lo: int, hi: int,
     Tails mirror the same guard.
     """
     row = graph.rows[m]
-    h, q, p = graph.h, graph.q, graph.p
-    job_pred, job_succ = graph.job_pred, graph.job_succ
+    h, q = graph.h, graph.q
+    p, job_pred, job_succ, _ = graph.instance.flat_ops
     before = graph.mach_pred[row[lo]]
     after = graph.mach_succ[row[hi]]
     h_min = h[row[lo]]
@@ -234,7 +224,7 @@ def estimate_move(graph: SearchGraph, move: Move) -> MoveEval:
     graph and to lie on a critical block (``ls_step`` scores its own)."""
     _check_positions(graph, move)
     row = graph.rows[move.machine]
-    h, q, p = graph.h, graph.q, graph.p
+    h, q, p = graph.h, graph.q, graph.instance.flat_ops[0]
     for v in (row[move.pos_a], row[move.pos_b]):
         if h[v] + p[v] + q[v] != graph.makespan:
             raise InvalidMove("move no longer lies on a critical block")
@@ -283,16 +273,18 @@ def ls_step(graph: SearchGraph, op: Operator) -> Union[Proposal, LocalOptimum]:
     return LocalOptimum()
 
 
-def perturb(graph: SearchGraph, pert: Perturbation,
+def perturb(graph: SearchGraph, strength: int,
             seed: Optional[Union[int, np.random.Generator]] = None
             ) -> SearchGraph:
-    """Apply ``pert.strength`` random CT moves, re-deriving blocks each time.
+    """Apply ``strength`` random CT moves, re-deriving blocks each time.
 
     Stops early if some intermediate schedule has no CT move. Deterministic
     given the seed (or caller-owned generator).
     """
+    if strength < 0:
+        raise ValueError("perturbation strength must be >= 0")
     rng = np.random.default_rng(seed)
-    for _ in range(pert.strength):
+    for _ in range(strength):
         moves = enumerate_moves(graph, Operator.CT)
         if not moves:
             break

@@ -109,6 +109,10 @@ class TrainConfig:
             raise ValueError("bad epoch sizing")
         if self.n_step < 1 or self.t_max < 1:
             raise ValueError("n_step and t_max must be >= 1")
+        for name in ("batch_size", "optimize_every", "target_update", "k_taus",
+                     "kp_taus"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.perturbation_strength < 0:
             raise ValueError("perturbation_strength must be >= 0")
 
@@ -130,30 +134,32 @@ class TrainConfig:
                    t_max=5, net=GNNConfig.desk_scale(), n_validation=16)
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Adaptive-moment optimizer over a network's parameter dict."""
 
-    def __init__(self, net: QNetwork, lr: float = 5e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, net: QNetwork, lr: float = 5e-4):
+        self.lr = lr
         self.t = 0
         self._m = {k: np.zeros_like(p.data) for k, p in net.params.items()}
         self._v = {k: np.zeros_like(p.data) for k, p in net.params.items()}
 
     def step(self, net: QNetwork) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - ADAM_BETA1 ** self.t
+        b2c = 1.0 - ADAM_BETA2 ** self.t
         for name, p in net.params.items():
             if p.grad is None:
                 continue
             m = self._m[name]
             v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * p.grad * p.grad
-            p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * p.grad
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * p.grad * p.grad
+            p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
 
 
 class EnvHandle:

@@ -3,8 +3,8 @@
 The simulators and the brute force are written against the problem
 definition only: no graph, no heads/tails, no incremental updates. The
 walker references (critical path, blocks, move estimates) read a graph only
-through its numpy views (``head``, ``tail``, ``mach_order``,
-``pos_on_machine``) and index them one numpy scalar at a time, a second
+through numpy arrays they build from its heads ``h``, tails ``q`` and machine
+orders ``rows``, and index them one numpy scalar at a time, a second
 implementation next to the package's Python-int walkers. The dispatch
 reference is the earlier countdown event loop, kept as it was. Slow and
 simple on purpose.
@@ -136,12 +136,21 @@ def dense_chain_adjacency(chains, n: int):
     return a
 
 
+def _arrays(graph):
+    """The graph's (M, J) machine orders and its heads and tails over the
+    n + 2 slots, as int64 arrays."""
+    inst = graph.instance
+    order = np.array(graph.rows, dtype=np.int64).reshape(inst.n_machines,
+                                                         inst.n_jobs)
+    return order, np.array(graph.h, dtype=np.int64), np.array(graph.q, dtype=np.int64)
+
+
 def _neighbour_arrays(graph):
     """Job and machine predecessors and successors as numpy arrays over the
     graph's n + 2 slots (source n, sink n + 1), derived from its orders."""
     inst = graph.instance
     J, M, n = inst.n_jobs, inst.n_machines, inst.n_ops
-    seqs = graph.mach_order
+    seqs = _arrays(graph)[0]
     job_pred = np.full(n + 2, n, dtype=np.int64)
     job_succ = np.full(n + 2, n + 1, dtype=np.int64)
     ids = np.arange(n).reshape(J, M)
@@ -165,7 +174,7 @@ def reference_critical_path(graph) -> list:
     if n == 0:
         return []
     job_pred, _, mach_pred, _ = _neighbour_arrays(graph)
-    head = graph.head
+    head = _arrays(graph)[1]
     p = inst.proc.reshape(-1)
     ends = np.flatnonzero(head[:n] + p == graph.makespan)
     v = int(min(ends, key=lambda i: (-int(head[i]), int(i))))
@@ -194,15 +203,16 @@ def reference_critical_blocks(graph) -> list:
             runs[-1].append(v)
         else:
             runs.append([v])
-    return [(int(machine[r[0]]), int(graph.pos_on_machine[r[0]]), tuple(r))
-            for r in runs]
+    order = _arrays(graph)[0]
+    return [(int(machine[r[0]]), int(np.flatnonzero(order[machine[r[0]]] == r[0])[0]),
+             tuple(r)) for r in runs]
 
 
 def _reference_pair(graph, nbrs, p, m, i):
     job_pred, job_succ, mach_pred, mach_succ = nbrs
-    ids = graph.mach_order[m]
+    order, h, q = _arrays(graph)
+    ids = order[m]
     u, v = int(ids[i]), int(ids[i + 1])
-    h, q = graph.head, graph.tail
     jp_u, jp_v = int(job_pred[u]), int(job_pred[v])
     js_u, js_v = int(job_succ[u]), int(job_succ[v])
     mp_u, ms_v = int(mach_pred[u]), int(mach_succ[v])
@@ -215,8 +225,8 @@ def _reference_pair(graph, nbrs, p, m, i):
 
 def _reference_window(graph, nbrs, p, m, lo, hi, window):
     job_pred, job_succ, mach_pred, mach_succ = nbrs
-    ids = graph.mach_order[m]
-    h, q = graph.head, graph.tail
+    order, h, q = _arrays(graph)
+    ids = order[m]
     before = int(mach_pred[int(ids[lo])])
     after = int(mach_succ[int(ids[hi])])
     h_min = int(h[int(ids[lo])])
@@ -253,7 +263,7 @@ def reference_estimate(graph, move) -> int:
     m, a, b = move.machine, move.pos_a, move.pos_b
     if move.kind in (Operator.CT, Operator.CET):
         return _reference_pair(graph, nbrs, p, m, a)
-    window = [int(v) for v in graph.mach_order[m]]
+    window = list(graph.rows[m])
     if move.kind is Operator.ECET:
         lo, hi = a, b + 1
         window = window[lo: hi + 1]

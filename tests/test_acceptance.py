@@ -16,8 +16,7 @@ from jobshopls.core import OpId, Solution
 from jobshopls.dispatch import DispatchRule, dispatch
 from jobshopls.env import ActionSpace, reset, rollout, step
 from jobshopls.metaheuristics import ControllerKind, run
-from jobshopls.neighborhood import (Operator, Perturbation, enumerate_moves,
-                                    estimate_move, perturb)
+from jobshopls.neighborhood import Operator, enumerate_moves, estimate_move, perturb
 from jobshopls.nn import (GNNConfig, QNetwork, autodiff as ad, load_checkpoint,
                           q_values, save_checkpoint)
 from jobshopls.training import (Adam, EnvHandle, TrainConfig, collect, evaluate,
@@ -89,7 +88,7 @@ def test_c03_move_estimates_never_exceed_exact_cost():
         sol = dispatch(inst, rules[seed % len(rules)])
         g = build_graph(inst, sol)
         if seed % 2:  # diversify beyond constructive schedules
-            g = perturb(g, Perturbation(strength=3), seed=seed)
+            g = perturb(g, 3, seed=seed)
             sol = g.solution()
         for op in Operator:
             for mv in enumerate_moves(g, op):

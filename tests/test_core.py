@@ -1,14 +1,25 @@
 """Disjunctive-graph construction, heads/tails, critical structure."""
+import ast
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jobshopls import build_graph, critical_blocks, critical_path, generate_instance, validate
+from jobshopls import (build_graph, core, critical_blocks, critical_path, generate_instance,
+                       validate)
 from jobshopls.core import (CyclicSolutionError, Instance, MalformedSolutionError,
-                            OpId, Solution, move_graph)
+                            OpId, SearchGraph, Solution, move_graph)
 from jobshopls.dispatch import DispatchRule, dispatch
 
 from oracles import simulate_heads_tails, simulate_makespan
+
+
+def critical_ops(g):
+    """Boolean mask over flat op ids: h + p + q == makespan."""
+    n = g.instance.n_ops
+    return np.array(g.h[:n]) + g.instance.proc.reshape(-1) + g.q[:n] == g.makespan
 
 
 def tiny_instance():
@@ -34,12 +45,10 @@ def test_heads_are_start_times_and_tails_complete_paths():
     n = inst.n_ops
     # start times and tails from the independent simulator
     start, tail = simulate_heads_tails(inst, sol)
-    assert np.array_equal(g.head[:n], start)
-    assert np.array_equal(g.tail[:n], tail)
-    # h + p + q <= C_max everywhere, equality exactly on critical ops
-    slack = g.head[:n] + inst.proc.reshape(-1) + g.tail[:n]
-    assert np.all(slack <= g.makespan)
-    assert np.array_equal(slack == g.makespan, g.critical_mask)
+    assert np.array_equal(g.h[:n], start)
+    assert np.array_equal(g.q[:n], tail)
+    # h + p + q <= C_max everywhere
+    assert np.all(np.array(g.h[:n]) + inst.proc.reshape(-1) + g.q[:n] <= g.makespan)
 
 
 def test_critical_path_is_connected_chain():
@@ -51,7 +60,7 @@ def test_critical_path_is_connected_chain():
     assert sum(p[v] for v in path) == g.makespan
     # consecutive ops share a job or a machine and are time-adjacent
     for a, b in zip(path, path[1:]):
-        assert g.head[a] + p[a] == g.head[b]
+        assert g.h[a] + p[a] == g.h[b]
         assert (a // inst.n_machines == b // inst.n_machines) or (machine[a] == machine[b])
 
 
@@ -59,7 +68,7 @@ def test_critical_blocks_are_maximal_same_machine_runs():
     inst = generate_instance(8, 5, seed=3)
     sol = dispatch(inst, DispatchRule.FIFO)
     g = build_graph(inst, sol)
-    crit = set(np.flatnonzero(g.critical_mask).tolist())
+    crit = set(np.flatnonzero(critical_ops(g)).tolist())
     for block in critical_blocks(g):
         seq = [op.job * inst.n_machines + op.pos for op in sol.machine_seq[block.machine]]
         lo = block.start
@@ -78,7 +87,7 @@ def test_every_critical_op_is_in_exactly_one_block():
     sol = dispatch(inst, DispatchRule.FDD)
     g = build_graph(inst, sol)
     seen = [op for b in critical_blocks(g) for op in b.ops]
-    assert len(seen) == len(set(seen)) == int(g.critical_mask.sum())
+    assert len(seen) == len(set(seen)) == int(critical_ops(g).sum())
 
 
 def test_cyclic_solution_raises():
@@ -94,7 +103,7 @@ def test_validate_reports_malformed_solutions():
     inst = tiny_instance()
     good = dispatch(inst, DispatchRule.SPT)
     assert validate(inst, good) == []
-    assert validate(inst, build_graph(inst, good).mach_order) == []
+    assert validate(inst, np.array(build_graph(inst, good).rows)) == []
 
     def sol(*rows):
         return Solution([[OpId(*op) for op in row] for row in rows])
@@ -136,7 +145,7 @@ def test_validate_reports_malformed_solutions():
 def test_move_graph_checks_the_window_and_derives_rows():
     inst = generate_instance(5, 4, seed=6)
     g = build_graph(inst, dispatch(inst, DispatchRule.SPT))
-    rows, order = g.rows, g.mach_order.copy()
+    rows = g.rows
     row, other = list(g.rows[2]), list(g.rows[3])
     bad = {  # each window replaces the slots from lo on, as many as it has
         "duplicate op": (1, [row[1], row[1]]),
@@ -154,16 +163,11 @@ def test_move_graph_checks_the_window_and_derives_rows():
             continue
         want = row[:lo] + [row[lo + 1], row[lo]] + row[lo + 2:]
         assert child.rows[2] == tuple(want)
-        # the unmoved rows are shared, and the array view is derived from rows
+        # the unmoved rows are shared
         assert all(child.rows[k] is rows[k] for k in (0, 1, 3))
-        assert child.mach_order.tolist() == [list(r) for r in child.rows]
-        with pytest.raises(ValueError):
-            child.mach_order[2, 0] = -1
-        assert child.makespan == build_graph(inst, child.mach_order).makespan
-    # the parent keeps its rows and its order
-    assert g.rows is rows and np.array_equal(g.mach_order, order)
-    assert g.mach_order.tolist() == [list(r) for r in rows]
-    assert not g.mach_order.flags.writeable
+        assert child.makespan == build_graph(inst, np.array(child.rows)).makespan
+    # the parent keeps its rows
+    assert g.rows is rows and g.rows[2] == tuple(row)
 
 
 def test_instance_rejects_bad_routes():
@@ -229,6 +233,15 @@ def test_heads_and_tails_match_the_simulator(data, j, m):
         return
     g = build_graph(inst, sol)
     n = inst.n_ops
-    assert np.array_equal(g.head[:n], want[0])
-    assert np.array_equal(g.tail[:n], want[1])
+    assert np.array_equal(g.h[:n], want[0])
+    assert np.array_equal(g.q[:n], want[1])
     assert g.makespan == simulate_makespan(inst, sol)
+
+
+def test_every_search_graph_field_is_read_in_the_package():
+    # a field nobody reads is an alias or a cache that only costs its build
+    read = set()
+    for path in Path(core.__file__).resolve().parent.rglob("*.py"):
+        read |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert {f.name for f in fields(SearchGraph)} - read == set()

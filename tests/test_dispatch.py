@@ -75,14 +75,14 @@ def test_schedules_are_non_delay(rule):
     sol = dispatch(inst, rule)
     g = build_graph(inst, sol)
     n = inst.n_ops
-    start = g.head[:n]
+    start = np.array(g.h[:n])
     end = start + inst.proc.reshape(-1)
 
     def ready(v):
         # flat id v - 1 is the job predecessor of every op but a job's first
         return 0 if v % inst.n_machines == 0 else end[v - 1]
 
-    for seq in g.mach_order:
+    for seq in map(list, g.rows):
         starts = start[seq]
         gaps = [(0, starts[0])] + [
             (end[a], starts[i + 1])

@@ -120,6 +120,12 @@ def test_explicit_config_object_is_honoured():
         run(ControllerKind.ILS, inst, iterations=40, seed=0).best_cost
 
 
+def test_run_needs_an_iteration():
+    inst = generate_instance(3, 3, seed=1)
+    with pytest.raises(ValueError, match="^iterations must be >= 1$"):
+        run(ControllerKind.VNS, inst, iterations=0, seed=0)
+
+
 @pytest.mark.parametrize("kind", list(ControllerKind))
 def test_run_computes_each_ls_step_once(record_ls_steps, kind):
     calls = record_ls_steps(env)     # run steps through env.transition

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from jobshopls import (CyclicSolutionError, Instance, build_graph, critical_blocks,
                        critical_path, generate_instance, validate)
 from jobshopls.dispatch import DispatchRule, dispatch, stochastic_dispatch
-from jobshopls.neighborhood import (LocalOptimum, Operator, Perturbation, Proposal,
+from jobshopls.neighborhood import (LocalOptimum, Operator, Proposal,
                                     WouldCreateCycle, apply_move, enumerate_moves,
                                     estimate_move, ls_step, perturb)
 
@@ -136,9 +136,9 @@ def test_ls_step_cost_matches_full_rebuild():
 def test_perturbation_is_seeded_and_valid():
     inst1, sol1, g1 = graph_for(9)
     inst2, sol2, g2 = graph_for(9)
-    pa = perturb(g1, Perturbation(strength=4), seed=2)
-    pb = perturb(g2, Perturbation(strength=4), seed=2)
-    assert np.array_equal(pa.mach_order, pb.mach_order)
+    pa = perturb(g1, 4, seed=2)
+    pb = perturb(g2, 4, seed=2)
+    assert pa.rows == pb.rows
     assert pa.makespan == pb.makespan
     assert validate(inst1, pa.solution()) == []
     assert pa.makespan == simulate_makespan(inst1, pa.solution())
@@ -146,19 +146,29 @@ def test_perturbation_is_seeded_and_valid():
 
 def test_perturbation_strength_zero_is_identity():
     inst, sol, g = graph_for(5)
-    g2 = perturb(g, Perturbation(strength=0), seed=0)
+    g2 = perturb(g, 0, seed=0)
     assert g2.solution() == sol
     assert g2.makespan == g.makespan
+
+
+def test_perturb_rejects_a_negative_strength():
+    inst, sol, g = graph_for(5)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="^perturbation strength must be >= 0$"):
+        perturb(g, -1, seed=rng)
+    # refused before any draw
+    assert rng.integers(1 << 31) == np.random.default_rng(0).integers(1 << 31)
 
 
 def assert_topological(g):
     # the stored order holds every op once, and every job and machine arc
     # points forward in it
     n = g.instance.n_ops
+    job_pred = g.instance.flat_ops[1]
     assert sorted(g.topo) == list(range(n))
     at = {v: i for i, v in enumerate(g.topo)}
     for v in range(n):
-        for u in (g.job_pred[v], g.mach_pred[v]):
+        for u in (job_pred[v], g.mach_pred[v]):
             assert u >= n or at[u] < at[v], (u, v)
 
 
@@ -171,8 +181,8 @@ def assert_topological(g):
 def test_moves_and_perturbations_return_fresh_graphs(data, j, m, seed, steps):
     # each step builds a new graph, derived from its parent's topological
     # order, equal to a full rebuild of the moved orders, and leaves the old
-    # graph, whose order is read-only, as it was; processing times of 0..6
-    # make zero-duration ops and equal heads common
+    # graph as it was; processing times of 0..6 make zero-duration ops and
+    # equal heads common
     proc = np.array(data.draw(st.lists(st.integers(0, 6), min_size=j * m,
                                        max_size=j * m))).reshape(j, m)
     machine = np.array([data.draw(st.permutations(range(m))) for _ in range(j)])
@@ -180,9 +190,11 @@ def test_moves_and_perturbations_return_fresh_graphs(data, j, m, seed, steps):
     g = build_graph(inst, dispatch(inst, DispatchRule.RND, seed=seed))
     assert_topological(g)
     for kind, pick in steps:
-        old_order, old_sol = g.mach_order.copy(), g.solution()
+        old_sol = g.solution()
+        old = (g.rows, g.makespan, *map(list, (g.h, g.q, g.mach_pred, g.mach_succ,
+                                                g.topo, g.end, g.out)))
         if kind == "perturb":
-            new = perturb(g, Perturbation(strength=2), seed=pick)
+            new = perturb(g, 2, seed=pick)
         else:
             moves = enumerate_moves(g, kind)
             if not moves:
@@ -202,9 +214,8 @@ def test_moves_and_perturbations_return_fresh_graphs(data, j, m, seed, steps):
             ref.h, ref.q, ref.mach_pred, ref.mach_succ)
         assert new.makespan == ref.makespan == simulate_makespan(inst, new.solution())
         assert_topological(new)
-        assert np.array_equal(g.mach_order, old_order)
-        with pytest.raises(ValueError):
-            g.mach_order[0, 0] = -1
+        assert (g.rows, g.makespan, g.h, g.q, g.mach_pred, g.mach_succ, g.topo,
+                g.end, g.out) == old
         g = new
 
 

@@ -264,7 +264,7 @@ def test_neighbor_sum_matches_dense_oracle(make):
     job_chains = [[j * inst.n_machines + k for k in range(inst.n_machines)]
                   for j in range(inst.n_jobs)]
     rng = np.random.default_rng(n)
-    for nbr, chains in ((obs.nbr_stat, job_chains), (obs.nbr_dyna, graph.mach_order)):
+    for nbr, chains in ((obs.nbr_stat, job_chains), (obs.nbr_dyna, graph.rows)):
         a = dense_chain_adjacency(chains, n)
         h = ad.parameter(rng.standard_normal((n, 16)))
         g = rng.standard_normal((n, 16))

@@ -314,6 +314,15 @@ def test_negative_perturbation_strength_is_rejected_up_front():
     TrainConfig(perturbation_strength=0)
 
 
+@pytest.mark.parametrize("name", ["batch_size", "optimize_every", "target_update",
+                                  "k_taus", "kp_taus"])
+def test_zero_counts_are_rejected_up_front(name):
+    # train would build the nets and the validation set before failing
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+        TrainConfig(**{name: 0})
+    TrainConfig(**{name: 1})
+
+
 @pytest.mark.parametrize("epsilon, policy", [(0.0, "net"), (0.5, "net"),
                                              (0.0, "random")])
 def test_lockstep_evaluate_equals_sequential_reference(epsilon, policy):

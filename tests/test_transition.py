@@ -14,16 +14,17 @@ import pytest
 from jobshopls import build_graph, env, generate_instance, metaheuristics
 from jobshopls.dispatch import DispatchRule, dispatch
 from jobshopls.env import ActionSpace, transition
-from jobshopls.metaheuristics import (ControllerDecision, ControllerKind,
-                                      Operator, Perturbation, run)
+from jobshopls.metaheuristics import ControllerConfig, ControllerKind, Operator, run
 from jobshopls.neighborhood import perturb
 
 # ANP actions: reject or accept the pending proposal, then CET or perturb
 REJECT_CET, REJECT_PERTURB, ACCEPT_PERTURB = 1, 4, 9
-REJECT = ControllerDecision(False, Operator.CET)
-PERTURB = ControllerDecision(False, Operator.CET, perturb=Perturbation(3))
-ACCEPT_AND_PERTURB = ControllerDecision(True, Operator.CET,
-                                        perturb=Perturbation(3))
+# controller decisions: (accept, next operator, event)
+REJECT = (False, Operator.CET, "")
+PERTURB = (False, Operator.CET, "perturb")
+ACCEPT_AND_PERTURB = (True, Operator.CET, "perturb")
+# ILS perturbing by env.reset's default strength
+ILS = ControllerConfig(ControllerKind.ILS, strength=3)
 
 
 @pytest.fixture
@@ -56,7 +57,7 @@ def _spy(monkeypatch, module, name: str, events: list) -> None:
 
 def _perturbation(state):
     """The jump ``env.step`` makes for the ANP perturbation action."""
-    return lambda graph: perturb(graph, Perturbation(3), state.rng)
+    return lambda graph: perturb(graph, state.strength, state.rng)
 
 
 def test_run_and_step_take_every_step_through_transition(monkeypatch):
@@ -93,7 +94,7 @@ def test_only_run_resets_stall_after_a_perturbation():
 def test_run_and_step_keep_their_stall_counts(scripted):
     inst = generate_instance(6, 6, seed=5)
     views = scripted([REJECT, REJECT, PERTURB, REJECT])
-    run(ControllerKind.ILS, inst, iterations=4, seed=0)
+    run(ILS, inst, iterations=4, seed=0)
     assert [v.stall for v in views] == [0, 1, 2, 0]
 
     state, _ = env.reset(inst, ActionSpace.ANP, seed=0, t_max=4)
@@ -139,7 +140,7 @@ def test_run_and_step_credit_an_accepted_proposal_as_before(scripted):
     init_cost, accepted = state.best_cost, state.pending.new_cost
 
     scripted([ACCEPT_AND_PERTURB])
-    assert run(ControllerKind.ILS, inst, iterations=1, seed=0).best_cost == accepted
+    assert run(ILS, inst, iterations=1, seed=0).best_cost == accepted
 
     state, *_ = env.step(state, ACCEPT_PERTURB)
     assert state.best_cost == min(init_cost, state.graph.makespan) > accepted
@@ -173,4 +174,4 @@ def test_run_and_reset_build_the_same_start_graph(monkeypatch):
     seeded = build_graph(inst, dispatch(inst, DispatchRule.FDD_over_MWKR,
                                         seed=drawn))
     for graph in (reset_start, seeded):
-        assert np.array_equal(run_start.mach_order, graph.mach_order)
+        assert run_start.rows == graph.rows

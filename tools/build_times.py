@@ -49,7 +49,7 @@ def feasible_moves(graph) -> list:
     for op in Operator:
         for mv in enumerate_moves(graph, op):
             try:
-                out.append((mv, apply_move(graph, mv).mach_order))
+                out.append((mv, apply_move(graph, mv).rows))
             except WouldCreateCycle:
                 continue
     return out
