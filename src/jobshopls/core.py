@@ -36,14 +36,15 @@ class CyclicSolutionError(ValueError):
 
 
 def _int64_array(values, name: str) -> np.ndarray:
-    """``values`` as an int64 array; a value the cast would change (a
+    """``values`` as a read-only int64 copy; a value the cast would change (a
     fraction, nan or inf) is refused with a message naming ``name``."""
     given = np.asarray(values)
     with np.errstate(invalid="ignore"):   # nan and inf cast to garbage
-        cast = given.astype(np.int64, copy=False)
+        cast = given.astype(np.int64)
     changed = cast != given
     if np.any(changed):
         raise ValueError(f"{name} must hold integers, got {given[changed][0].item()!r}")
+    cast.setflags(write=False)
     return cast
 
 
@@ -54,7 +55,9 @@ class Instance:
     proc[j, k]    processing time of the k-th operation of job j
     machine[j, k] machine visited by the k-th operation of job j
 
-    Equality compares the problem data and ignores the name.
+    Both are read-only int64 copies of the arrays given, so the derived
+    ``flat_ops`` and ``routed`` never go stale and one instance can be
+    shared. Equality compares the problem data and ignores the name.
     """
 
     n_jobs: int
@@ -196,12 +199,11 @@ def _checked_rows(instance: Instance, solution) -> tuple:
         if len(seqs) != M:
             raise MalformedSolutionError(
                 f"expected {M} machine sequences, got {len(seqs)}")
-        # a row of the wrong length becomes a row of invalid ids
-        ops = np.array([seq if len(seq) == J else [(-1, -1)] * J for seq in seqs],
-                       dtype=np.int64).reshape(M, J, 2)
-        job, pos = ops[..., 0], ops[..., 1]
-        order = np.where((0 <= job) & (job < J) & (0 <= pos) & (pos < M),
-                         job * M + pos, -1)
+        # flat ids as Python ints: an op out of range, and every op of a row
+        # of the wrong length, becomes the invalid id -1
+        order = np.array([[j * M + k if 0 <= j < J and 0 <= k < M else -1
+                           for j, k in seq] if len(seq) == J else [-1] * J
+                          for seq in seqs], dtype=np.int64).reshape(M, J)
     else:
         order = np.array(solution, dtype=np.int64)
         if order.shape != (M, J):

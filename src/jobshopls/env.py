@@ -185,7 +185,17 @@ def reset(instance: Instance, action_space: ActionSpace = ActionSpace.ANP,
           seed: Optional[Union[int, np.random.Generator]] = None,
           t_max: int = 100,
           perturbation_strength: int = 3) -> tuple[EnvState, Observation]:
-    """Construct (FDD/MWKR), take one CT step to create the first proposal."""
+    """Construct (FDD/MWKR), take one CT step to create the first proposal,
+    and observe the result."""
+    state = start(instance, action_space, seed, t_max, perturbation_strength)
+    return state, observe(state)
+
+
+def start(instance: Instance, action_space: ActionSpace = ActionSpace.ANP,
+          seed: Optional[Union[int, np.random.Generator]] = None,
+          t_max: int = 100, perturbation_strength: int = 3) -> EnvState:
+    """``reset``'s state without its observation, for callers that do not
+    read it."""
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
     if perturbation_strength < 0:
@@ -213,7 +223,7 @@ def reset(instance: Instance, action_space: ActionSpace = ActionSpace.ANP,
         nbr_stat=_chain_neighbors(job_ids, instance.n_ops),
     )
     _propose(state, Operator.CT)
-    return state, observe(state)
+    return state
 
 
 def _propose(state: EnvState, operator: Operator) -> None:
@@ -286,7 +296,7 @@ def step(state: EnvState, action: int
 def rollout(instance: Instance, actions, action_space: ActionSpace,
             seed: Optional[int] = None, t_max: int = 100) -> list[dict]:
     """Replay a fixed action sequence; returns the trace records."""
-    state, _ = reset(instance, action_space, seed=seed, t_max=t_max)
+    state = start(instance, action_space, seed=seed, t_max=t_max)
     rows = []
     for action in actions:
         if state.done:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import Instance, Solution, build_graph
 from .dispatch import DispatchRule, stochastic_dispatch
-from .env import reset as env_reset, transition
+from .env import start as env_start, transition
 from .neighborhood import OPERATOR_ORDER, Operator, perturb
 # not called here, but perfbench/tracing.py patches metaheuristics.dispatch
 # and metaheuristics.ls_step and fails on a name it cannot find
@@ -192,7 +192,7 @@ def run(config: Union[ControllerConfig, ControllerKind], instance: Instance,
     # but discarding it keeps every later draw (SA coin flips, perturbations,
     # restarts) where it was
     rng.integers(1 << 31)
-    state, _ = env_reset(instance, seed=rng, t_max=iterations)
+    state = env_start(instance, seed=rng, t_max=iterations)
     ctrl = Controller(config, state.init_cost, iterations, rng)
 
     trace: list[TraceRow] = []

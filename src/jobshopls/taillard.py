@@ -4,13 +4,17 @@ A file holds, after optional ``#`` comments and blank lines, a ``J M`` header,
 then J rows of M processing times, then J rows of M machine indices (1-based
 in the file, converted to 0-based in memory).  Whitespace is free-form.  The
 80 classic ``ta`` instances ship with the package together with a table of
-best-known makespans.
+best-known makespans. Both are package data, so each is parsed once per
+process and then shared: an ``Instance`` is read-only, and so is the table.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -110,8 +114,12 @@ def builtin_names() -> list[str]:
     return [f"ta{i:02d}" for i in range(1, 81)]
 
 
+@functools.cache
 def builtin_instance(name: str) -> Instance:
-    """Load a bundled instance by name (for example ``ta01``)."""
+    """Load a bundled instance by name (for example ``ta01``).
+
+    Parsed on the first call; later calls return the same ``Instance``.
+    """
     res = _data_root() / "taillard" / f"{name}.txt"
     try:
         text = res.read_text()
@@ -120,19 +128,25 @@ def builtin_instance(name: str) -> Instance:
     return parse_taillard(text, name=name)
 
 
-def best_known() -> dict[str, int]:
-    """Best-known makespans for the bundled instances."""
+@functools.cache
+def best_known() -> Mapping[str, int]:
+    """Best-known makespans for the bundled instances, as a read-only
+    mapping parsed on the first call."""
     out: dict[str, int] = {}
     for line in (_data_root() / "bks.csv").read_text().splitlines()[1:]:
         if not line.strip():
             continue
         name, value = line.split(",")
         out[name] = int(value)
-    return out
+    return MappingProxyType(out)
 
 
 def resolve_instance(spec: str) -> Instance:
-    """Accept a bundled name or a filesystem path."""
+    """Accept a bundled name or a filesystem path.
+
+    A path is read and parsed on every call, since the file may change; a
+    bundled name returns the shared ``builtin_instance``.
+    """
     if Path(spec).is_file():
         return parse_taillard_file(spec)
     try:

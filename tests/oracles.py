@@ -6,8 +6,10 @@ walker references (critical path, blocks, move estimates) read a graph only
 through numpy arrays they build from its heads ``h``, tails ``q`` and machine
 orders ``rows``, and index them one numpy scalar at a time, a second
 implementation next to the package's Python-int walkers. The dispatch
-reference is the earlier countdown event loop, kept as it was. Slow and
-simple on purpose.
+reference is the earlier countdown event loop, kept as it was, with its
+``Generator.choice`` draw among the three best. The solution check is the
+earlier conversion through an (M, J, 2) array of OpIds. Slow and simple on
+purpose.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from jobshopls.core import Instance, OpId, Solution
+from jobshopls.core import Instance, MalformedSolutionError, OpId, Solution
 from jobshopls.dispatch import DispatchRule
 
 
@@ -523,3 +525,28 @@ def reference_dispatch(instance: Instance, rule: DispatchRule,
         run_job[i] = j
         run_left[i] = dur[j][k]
     return Solution(partial)
+
+
+def reference_checked_rows(instance: Instance, solution: Solution) -> tuple:
+    """A Solution's machine orders as M tuples of flat op ids, converted
+    through one (M, J, 2) numpy array; raises MalformedSolutionError with
+    the package's messages unless row k is a permutation of the ops routed
+    to machine k."""
+    J, M = instance.n_jobs, instance.n_machines
+    seqs = solution.machine_seq
+    if len(seqs) != M:
+        raise MalformedSolutionError(
+            f"expected {M} machine sequences, got {len(seqs)}")
+    # a row of the wrong length becomes a row of invalid ids
+    ops = np.array([seq if len(seq) == J else [(-1, -1)] * J for seq in seqs],
+                   dtype=np.int64).reshape(M, J, 2)
+    job, pos = ops[..., 0], ops[..., 1]
+    order = np.where((0 <= job) & (job < J) & (0 <= pos) & (pos < M),
+                     job * M + pos, -1)
+    routed = np.argsort(instance.machine.reshape(-1), kind="stable").reshape(M, J)
+    bad = np.flatnonzero((np.sort(order, axis=1) != routed).any(axis=1))
+    if bad.size:
+        raise MalformedSolutionError("\n".join(
+            f"machine {k}: not a permutation of the {J} ops routed to it"
+            for k in bad))
+    return tuple(map(tuple, order.tolist()))

@@ -13,7 +13,7 @@ from jobshopls.core import (CyclicSolutionError, Instance, MalformedSolutionErro
                             OpId, SearchGraph, Solution, move_graph)
 from jobshopls.dispatch import DispatchRule, dispatch
 
-from oracles import simulate_heads_tails, simulate_makespan
+from oracles import reference_checked_rows, simulate_heads_tails, simulate_makespan
 
 
 def critical_ops(g):
@@ -142,6 +142,47 @@ def test_validate_reports_malformed_solutions():
         assert validate(inst, bad) == ["precedence graph is cyclic"]
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), j=st.integers(1, 5), m=st.integers(1, 5),
+       faults=st.lists(st.sampled_from(["machine count", "row length", "job range",
+                                        "pos range", "duplicate", "wrong machine"]),
+                       max_size=3))
+def test_malformed_solutions_keep_their_messages(data, j, m, faults):
+    # the Python-int conversion must raise what the (M, J, 2) array one did
+    inst = generate_instance(j, m, seed=data.draw(st.integers(0, 99)))
+    seqs = [list(seq) for seq in dispatch(inst, DispatchRule.SPT).machine_seq]
+    out_of_range = st.one_of(st.integers(-3, -1), st.integers(max(j, m), j + m + 2))
+    for fault in faults:
+        filled = [seq for seq in seqs if seq]
+        if not filled:
+            break
+        row = data.draw(st.sampled_from(filled))
+        i = data.draw(st.integers(0, len(row) - 1))
+        job, pos = row[i]
+        if fault == "machine count":
+            seqs.remove(row) if data.draw(st.booleans()) else seqs.append(list(row))
+        elif fault == "row length":
+            row.pop(i) if data.draw(st.booleans()) else row.append(row[i])
+        elif fault == "job range":
+            row[i] = OpId(data.draw(out_of_range), pos)
+        elif fault == "pos range":
+            row[i] = (job, data.draw(out_of_range))
+        elif fault == "duplicate":
+            row[i] = row[data.draw(st.integers(0, len(row) - 1))]
+        else:
+            other = data.draw(st.sampled_from(filled))
+            a = data.draw(st.integers(0, len(other) - 1))
+            row[i], other[a] = other[a], row[i]
+
+    def outcome(check):
+        try:
+            return check(inst, Solution(seqs))
+        except MalformedSolutionError as exc:
+            return str(exc)
+
+    assert outcome(core._checked_rows) == outcome(reference_checked_rows)
+
+
 def test_move_graph_checks_the_window_and_derives_rows():
     inst = generate_instance(5, 4, seed=6)
     g = build_graph(inst, dispatch(inst, DispatchRule.SPT))
@@ -186,6 +227,20 @@ def test_instance_rejects_bad_routes():
 def test_instance_rejects_non_integer_data(proc, machine, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         Instance(1, 2, proc, machine)
+
+
+def test_instance_keeps_read_only_copies_of_its_arrays():
+    proc = np.array([[3, 2], [2, 4]], dtype=np.int64)
+    machine = np.array([[0, 1], [1, 0]], dtype=np.int64)
+    inst = Instance(2, 2, proc, machine)
+    ops = inst.flat_ops
+    proc[0, 0], machine[0] = 50, [1, 0]
+    assert inst.proc.tolist() == [[3, 2], [2, 4]]
+    assert inst.machine.tolist() == [[0, 1], [1, 0]]
+    assert inst.flat_ops is ops and ops[0][0] == 3
+    for array in (inst.proc, inst.machine):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1
 
 
 def test_instance_accepts_integral_floats():

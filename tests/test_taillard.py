@@ -33,6 +33,10 @@ def test_best_known_values():
     assert bks["ta01"] == 1231
     assert bks["ta10"] == 1241
     assert len(bks) >= 80
+    # parsed once and shared, so read-only
+    assert best_known() is bks
+    with pytest.raises(TypeError):
+        bks["ta01"] = 0
 
 
 def test_generate_is_deterministic_and_bounded():
@@ -102,10 +106,15 @@ def test_parse_errors_name_the_offending_token(text, message):
 
 def test_resolve_instance_accepts_names_and_paths(tmp_path):
     assert resolve_instance("ta05").name == "ta05"
+    # a bundled instance is parsed once and shared; a file is read each time
+    assert resolve_instance("ta05") is resolve_instance("ta05") is builtin_instance("ta05")
     p = tmp_path / "mine.txt"
     p.write_text(emit_taillard(generate_instance(4, 4, seed=2)))
     inst = resolve_instance(str(p))
     assert (inst.n_jobs, inst.n_machines) == (4, 4)
+    p.write_text(emit_taillard(generate_instance(4, 4, seed=3)))
+    again = resolve_instance(str(p))
+    assert again == generate_instance(4, 4, seed=3) and again != inst
     with pytest.raises((FileNotFoundError, InstanceParseError, KeyError, ValueError)):
         resolve_instance("ta99")
 

@@ -6,7 +6,8 @@ two used to differ, three remain, and all three are one branch in
 perturbation or restart is followed by its next operator; the ANP
 perturbation action has no operator, so the jump replaces the LS step.
 The fourth difference stands as it was: only a controller restarts. The
-fifth is gone: ``run`` constructs through ``env.reset``.
+fifth is gone: ``run`` constructs through ``env.start``, ``env.reset`` less
+the observation.
 """
 import numpy as np
 import pytest

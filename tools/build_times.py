@@ -1,5 +1,6 @@
 """Per-call times of a full build_graph against a move's derived build, of
-the critical-block walk and one LS step per operator, and of dispatch.
+the critical-block walk and one LS step per operator, of dispatch, and of a
+bench solve's fixed costs.
 
 Run from the root of a checkout:
 
@@ -13,7 +14,12 @@ stretch of its topological order). The full build checks every machine
 order, the derived one only the moved row. On the SPT graph itself it also
 times ``critical_blocks`` and ``ls_step`` with each operator, and on the
 instance it times one FDD/MWKR ``dispatch`` and one ``stochastic_dispatch``
-at noise 1.0 (the restart construction, seed 0). A time is the minimum over
+at noise 1.0 (the restart construction, seed 0). On ta01 and ta51 it also
+times what every bench solve pays besides its search, under ``fixed_us``:
+``resolve_instance`` cold (the bundled instance parsed afresh, with its
+``flat_ops`` and ``routed`` tables) and warm (the parsed instance reused),
+``build_graph`` and ``validate`` of the SPT ``Solution``, and
+``SearchGraph.solution()`` on its graph. A time is the minimum over
 SWEEPS sweeps (over the moves, or of one call), divided by the number of
 calls, in microseconds. The results go under ``build_times`` in
 the output file, together with the core count and the numpy and Python
@@ -34,11 +40,12 @@ import numpy as np
 sys.path.insert(0, str(Path.cwd() / "src"))
 
 from jobshopls import (build_graph, builtin_instance, critical_blocks,  # noqa: E402
-                       generate_instance)
+                       generate_instance, validate)
 from jobshopls.dispatch import (DispatchRule, dispatch,  # noqa: E402
                                 stochastic_dispatch)
 from jobshopls.neighborhood import (Operator, WouldCreateCycle,  # noqa: E402
                                     apply_move, enumerate_moves, ls_step)
+from jobshopls.taillard import resolve_instance  # noqa: E402
 
 SWEEPS = 50
 
@@ -59,6 +66,26 @@ def per_call_us(fn, calls: int) -> float:
     return min(timeit.repeat(fn, number=1, repeat=SWEEPS)) / calls * 1e6
 
 
+def resolve_cold(name: str) -> tuple:
+    """``resolve_instance`` of a bundled name not parsed before, and the
+    tables a search reads from it."""
+    builtin_instance.cache_clear()
+    inst = resolve_instance(name)
+    return inst.flat_ops, inst.routed
+
+
+def fixed_us(name: str, solution, graph) -> dict:
+    """Microseconds per call of a bench solve's fixed costs on bundled
+    instance ``name``, whose ``solution`` has the graph ``graph``."""
+    inst = graph.instance
+    times = {"resolve_cold": per_call_us(lambda: resolve_cold(name), 1),
+             "resolve_warm": per_call_us(lambda: resolve_instance(name), 1),
+             "build_graph": per_call_us(lambda: build_graph(inst, solution), 1),
+             "validate": per_call_us(lambda: validate(inst, solution), 1),
+             "solution": per_call_us(graph.solution, 1)}
+    return {key: round(t, 1) for key, t in times.items()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, required=True)
@@ -68,7 +95,8 @@ def main(argv=None) -> int:
     for name, inst in (("ta01", builtin_instance("ta01")),
                        ("ta51", builtin_instance("ta51")),
                        ("6x6", generate_instance(6, 6, seed=0))):
-        graph = build_graph(inst, dispatch(inst, DispatchRule.SPT))
+        solution = dispatch(inst, DispatchRule.SPT)
+        graph = build_graph(inst, solution)
         cases = feasible_moves(graph)
         full = per_call_us(lambda: [build_graph(inst, order) for _, order in cases],
                            len(cases))
@@ -87,6 +115,8 @@ def main(argv=None) -> int:
                        "stochastic_dispatch_us": round(per_call_us(
                            lambda: stochastic_dispatch(inst, DispatchRule.FDD_over_MWKR,
                                                        noise=1.0, seed=0), 1), 1)}
+        if name != "6x6":
+            times[name]["fixed_us"] = fixed_us(name, solution, graph)
         print(name, times[name], flush=True)
     report = json.loads(args.out.read_text()) if args.out.exists() else {}
     report["build_times"] = {
