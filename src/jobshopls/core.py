@@ -56,7 +56,7 @@ class Instance:
     machine[j, k] machine visited by the k-th operation of job j
 
     Both are read-only int64 copies of the arrays given, so the derived
-    ``flat_ops`` and ``routed`` never go stale and one instance can be
+    ``flat_ops``, ``op_ids`` and ``routed`` never go stale and one instance can be
     shared. Equality compares the problem data and ignores the name.
     """
 
@@ -102,6 +102,11 @@ class Instance:
                 tuple(v - 1 if v % M else source for v in range(n)) + (source, source),
                 tuple(v + 1 if (v + 1) % M else sink for v in range(n)) + (sink, sink),
                 tuple(self.machine.reshape(-1).tolist()))
+
+    @cached_property
+    def op_ids(self) -> tuple[OpId, ...]:
+        """The OpId of each flat op id."""
+        return tuple(OpId(*divmod(v, self.n_machines)) for v in range(self.n_ops))
 
     @cached_property
     def routed(self) -> np.ndarray:
@@ -183,8 +188,8 @@ class SearchGraph:
 
     def solution(self) -> Solution:
         """The machine orders as OpId lists."""
-        M = self.instance.n_machines
-        return Solution([[OpId(*divmod(v, M)) for v in row] for row in self.rows])
+        ids = self.instance.op_ids
+        return Solution([[ids[v] for v in row] for row in self.rows])
 
 
 def _checked_rows(instance: Instance, solution) -> tuple:

@@ -11,7 +11,7 @@ gradient checks can be tight.
 from __future__ import annotations
 
 import contextlib
-from itertools import accumulate
+from itertools import groupby
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -107,18 +107,6 @@ def _spent(g) -> None:
                        "run the forward pass again")
 
 
-def _accumulate_graphs(t: Tensor, terms) -> None:
-    """Add a parameter's per-graph gradient terms (fresh arrays of its shape)
-    in graph order, into the first term if it has no gradient yet: one write
-    of ``t.grad``, rounded as one ``_accumulate`` per term."""
-    if t.requires_grad:
-        terms = iter(terms)
-        total = next(terms) if t.grad is None else t.grad
-        for term in terms:
-            total += term
-        t.grad = total
-
-
 def constant(x: ArrayLike) -> Tensor:
     return Tensor(x)
 
@@ -203,49 +191,6 @@ def fold_sum(x: Tensor) -> Tensor:
     return Tensor(np.cumsum(x.data)[-1], parents=(x,), push=push)
 
 
-def tmean(x: Tensor, axis=None, keepdims: bool = False, count=None) -> Tensor:
-    """Mean along ``axis`` (all if None), sum then divide as ``np.mean`` does;
-    ``count``, shaped like the sum with kept dims, replaces the axis length."""
-    if count is None:
-        count = x.data.size if axis is None else x.shape[axis]
-    def push(g):
-        if not x.requires_grad:
-            return
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        # divide after broadcasting: a copied broadcast view may be F-ordered
-        x._accumulate(np.broadcast_to(g, x.shape) / count)
-    out = x.data.sum(axis=axis, keepdims=True) / count
-    return Tensor(out if keepdims else np.squeeze(out, axis=axis),
-                  parents=(x,), push=push)
-
-
-def amax(x: Tensor, axis: int = 0) -> Tensor:
-    """Max along one axis; gradient flows to the first maximizer only."""
-    idx = x.data.argmax(axis=axis)
-    out = np.take_along_axis(x.data, np.expand_dims(idx, axis), axis=axis)
-    def push(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            np.put_along_axis(gx, np.expand_dims(idx, axis),
-                              np.expand_dims(g, axis), axis=axis)
-            x._accumulate(gx)
-    return Tensor(np.squeeze(out, axis=axis), parents=(x,), push=push)
-
-
-def blocks(x: Tensor, sizes: Sequence[int], fill: float) -> Tensor:
-    """The consecutive row blocks of a 2-D tensor with these sizes, as one
-    (len(sizes), max(sizes), d) array padded after each block with ``fill``."""
-    sizes = np.asarray(sizes)
-    mask = np.arange(sizes.max()) < sizes[:, None]
-    out = np.full(mask.shape + x.shape[1:], fill, dtype=np.float64)
-    out[mask] = x.data
-    def push(g):
-        if x.requires_grad:
-            x._accumulate(g[mask])
-    return Tensor(out, parents=(x,), push=push)
-
-
 def permute_rows(x: Tensor, perm: np.ndarray) -> Tensor:
     """Gather rows by a permutation."""
     def push(g):
@@ -301,23 +246,101 @@ def huber(x: Tensor, kappa: float = 1.0) -> Tensor:
     return Tensor(out, parents=(x,), push=push)
 
 
-def _graphs(sizes: Optional[Sequence[int]]) -> list:
-    """Row slices of the graphs of a disjoint union (``None``: one graph).
+def _runs(sizes: Optional[Sequence[int]], rows: int) -> list:
+    """The runs of consecutive equal sizes among a disjoint union's graphs
+    (``None``: one graph of all ``rows``), each as (first graph, first row,
+    r graphs, n rows per graph).
 
     Backward passes given ``sizes`` reduce parameter gradients and multiply by
-    a transposed operand one graph at a time, in graph order: BLAS rounds a
-    row of ``g @ w.T`` by the call's row count, and B separate tapes sum each
+    a transposed operand one graph at a time, in graph order, as one stacked
+    product or sum per run over its (r, n, d) reshape view: BLAS rounds a row
+    of ``g @ w.T`` by the call's row count, and B separate tapes sum each
     parameter's gradient graph 0 first. So the union's gradients equal theirs
     bit for bit; elementwise steps and the forward ``x @ w`` stay one call."""
     if sizes is None:
-        return [slice(None)]
-    return [slice(e - s, e) for s, e in zip(sizes, accumulate(sizes))]
+        return [(0, 0, 1, rows)]
+    runs, first, row = [], 0, 0
+    for n, same in groupby(sizes):
+        r = len(list(same))
+        runs.append((first, row, r, n))
+        first, row = first + r, row + r * n
+    return runs
+
+
+def _stacks(a: np.ndarray, runs: list) -> list:
+    """The rows of ``a`` as one (r, n, d) view per run."""
+    return [a[row:row + r * n].reshape(r, n, -1) for _, row, r, n in runs]
+
+
+def _products(a: np.ndarray, g: np.ndarray, runs: list):
+    """Per run, its graphs' products a_b.T @ g_b as one (r, d_a, d_g) stack."""
+    return (np.matmul(sa.transpose(0, 2, 1), sg)
+            for sa, sg in zip(_stacks(a, runs), _stacks(g, runs)))
+
+
+def _sums(g: np.ndarray, runs: list):
+    """Per run, its graphs' row sums as one (r, d) stack."""
+    return (sg.sum(axis=1) for sg in _stacks(g, runs))
+
+
+def _times_t(g: np.ndarray, w: np.ndarray, runs: list) -> np.ndarray:
+    """g @ w.T one graph at a time, as one stacked product per run; ``w.T``
+    stays a view, since a contiguous copy rounds differently."""
+    out = np.empty((len(g), len(w)))
+    for sg, so in zip(_stacks(g, runs), _stacks(out, runs)):
+        np.matmul(sg, w.T, out=so)
+    return out
+
+
+def _fold(t: Tensor, stacks) -> None:
+    """Add a parameter's per-graph gradient terms, stacked per run, to its
+    gradient in graph order, with one write of ``t.grad``. Each run's first
+    term takes the running total, if any, and the run is summed along axis 0,
+    which adds its terms one at a time: ((total + t0) + t1) + ..., rounded as
+    one ``_accumulate`` per term would."""
+    if t.requires_grad:
+        total = t.grad
+        for stack in stacks:
+            if total is not None:
+                stack[0] += total
+            total = stack.sum(axis=0)
+        t.grad = total
+
+
+def block_max(x: Tensor, sizes: Sequence[int]) -> Tensor:
+    """(len(sizes), d) maxima of the consecutive row blocks of 2-D ``x`` with
+    these sizes, one reduction per run of equal sizes (see ``_runs``); the
+    gradient flows to each block's first maximizer only."""
+    runs = _runs(sizes, len(x.data))
+    stacks = _stacks(x.data, runs)
+    idx = [s.argmax(axis=1)[:, None] for s in stacks]
+    out = np.concatenate([np.take_along_axis(s, i, axis=1)[:, 0]
+                          for s, i in zip(stacks, idx)])
+    def push(g):
+        if x.requires_grad:
+            gx = np.zeros_like(x.data)
+            for (first, _, r, _), s, i in zip(runs, _stacks(gx, runs), idx):
+                np.put_along_axis(s, i, g[first:first + r, None], axis=1)
+            x._accumulate(gx)
+    return Tensor(out, parents=(x,), push=push)
+
+
+def block_mean(x: Tensor, sizes: Sequence[int]) -> Tensor:
+    """(len(sizes), d) means of the consecutive row blocks of 2-D ``x`` with
+    these sizes: one sum per run of equal sizes, which adds a block's rows one
+    at a time, then a division by the block's size, as ``np.mean`` does."""
+    counts = np.asarray(sizes)[:, None]
+    def push(g):
+        if x.requires_grad:
+            x._accumulate(np.repeat(g / counts, sizes, axis=0))
+    return Tensor(np.concatenate(list(_sums(x.data, _runs(sizes, len(x.data)))))
+                  / counts, parents=(x,), push=push)
 
 
 def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5,
                sizes: Optional[Sequence[int]] = None) -> Tensor:
     """Normalize the last axis, then apply the learned affine map; ``sizes``
-    splits the first axis into graphs (see ``_graphs``)."""
+    splits the rows of 2-D ``x`` into graphs (see ``_runs``)."""
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
@@ -325,12 +348,10 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5,
     xhat = centered * inv
 
     def push(g):
-        lead = tuple(range(g.ndim - 1))
-        parts = _graphs(sizes)
+        runs = _runs(sizes, len(g))
         if scale.requires_grad:
-            gxhat = g * xhat
-            _accumulate_graphs(scale, (gxhat[s].sum(axis=lead) for s in parts))
-        _accumulate_graphs(shift, (g[s].sum(axis=lead) for s in parts))
+            _fold(scale, _sums(g * xhat, runs))
+        _fold(shift, _sums(g, runs))
         if x.requires_grad:
             gx = g * scale.data
             x._accumulate(inv * (gx - gx.mean(axis=-1, keepdims=True)
@@ -342,20 +363,20 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5,
 def linear(x: Tensor, w: Tensor, b: Tensor,
            sizes: Optional[Sequence[int]] = None) -> Tensor:
     """Affine map x @ w + b for 2-D x; ``sizes`` splits the rows into graphs
-    (see ``_graphs``)."""
+    (see ``_runs``)."""
     def push(g):
-        parts = _graphs(sizes)
+        runs = _runs(sizes, len(g))
         if x.requires_grad:
-            x._accumulate(np.concatenate([g[s] @ w.data.T for s in parts]))
-        _accumulate_graphs(w, (x.data[s].T @ g[s] for s in parts))
-        _accumulate_graphs(b, (g[s].sum(axis=0) for s in parts))
+            x._accumulate(_times_t(g, w.data, runs))
+        _fold(w, _products(x.data, g, runs))
+        _fold(b, _sums(g, runs))
     return Tensor(x.data @ w.data + b.data, parents=(x, w, b), push=push)
 
 
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
         sizes: Optional[Sequence[int]] = None) -> Tensor:
     """Two-layer perceptron with a GeLU between, fused into one tape node;
-    ``sizes`` splits the rows into graphs (see ``_graphs``)."""
+    ``sizes`` splits the rows into graphs (see ``_runs``)."""
     # in-place bias adds: same arithmetic, but no fresh (n, d) buffer to fault in
     z = x.data @ w1.data
     z += b1.data
@@ -364,15 +385,15 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     out += b2.data
 
     def push(g):
-        parts = _graphs(sizes)
+        runs = _runs(sizes, len(g))
         if w2.requires_grad:
-            a = z * cdf   # the forward's product, recomputed rather than kept
-            _accumulate_graphs(w2, (a[s].T @ g[s] for s in parts))
-        _accumulate_graphs(b2, (g[s].sum(axis=0) for s in parts))
-        gz = np.concatenate([g[s] @ w2.data.T for s in parts])
+            # the forward's product, recomputed rather than kept
+            _fold(w2, _products(z * cdf, g, runs))
+        _fold(b2, _sums(g, runs))
+        gz = _times_t(g, w2.data, runs)
         gz *= cdf + z * np.exp(-0.5 * z * z) * _INV_SQRT_2PI
-        _accumulate_graphs(w1, (x.data[s].T @ gz[s] for s in parts))
-        _accumulate_graphs(b1, (gz[s].sum(axis=0) for s in parts))
+        _fold(w1, _products(x.data, gz, runs))
+        _fold(b1, _sums(gz, runs))
         if x.requires_grad:
-            x._accumulate(np.concatenate([gz[s] @ w1.data.T for s in parts]))
+            x._accumulate(_times_t(gz, w1.data, runs))
     return Tensor(out, parents=(x, w1, b1, w2, b2), push=push)

@@ -178,10 +178,10 @@ def encode(observations: Sequence[Observation],
         h = _gnn_layer(h, nbr[kind], net, i, sizes)
     omega_node = net._run_mlp("post", h, sizes)
 
-    # each group's rows in one padded block: -inf never wins the max
+    # group-ordered rows, so each group is one consecutive block
     grouped = ad.permute_rows(omega_node, np.argsort(groups, kind="stable"))
-    pooled = ad.concat([ad.amax(ad.blocks(grouped, counts, -np.inf), axis=1),
-                        _block_means(grouped, counts)], axis=1)
+    pooled = ad.concat([ad.block_max(grouped, counts),
+                        ad.block_mean(grouped, counts)], axis=1)
     # one call for all groups: a one-row call would round differently (gemv)
     omega_grp = net._run_mlp("grp", pooled, [obs.n_groups for obs in observations])
 
@@ -190,14 +190,6 @@ def encode(observations: Sequence[Observation],
                                       *net._p("feat.w", "feat.b"))
                             for obs in observations])
     return omega_node, omega_grp, omega_feat
-
-
-def _block_means(x: Tensor, sizes: Sequence[int]) -> Tensor:
-    """(len(sizes), d) means of the consecutive row blocks of ``x`` with these
-    sizes. The sum over a block adds its rows one at a time, so the pads,
-    -0.0 (x + -0.0 == x, for x = -0.0 too), leave it exact."""
-    sizes = np.asarray(sizes)
-    return ad.tmean(ad.blocks(x, sizes, -0.0), axis=1, count=sizes[:, None, None])
 
 
 def batch_q_values(observations: Sequence[Observation], net: QNetwork,
@@ -213,9 +205,9 @@ def batch_q_values(observations: Sequence[Observation], net: QNetwork,
         raise ValueError("taus must be a nonempty (B, K) array, a row per observation")
     taus = np.asarray(taus, dtype=np.float64)
     omega_node, omega_grp, omega_feat = encode(observations, net)
-    pooled = ad.concat([_block_means(omega_node,
-                                     [len(o.node_feats) for o in observations]),
-                        _block_means(omega_grp, [o.n_groups for o in observations]),
+    pooled = ad.concat([ad.block_mean(omega_node,
+                                      [len(o.node_feats) for o in observations]),
+                        ad.block_mean(omega_grp, [o.n_groups for o in observations]),
                         omega_feat], axis=1)
     (b, k), m = taus.shape, np.arange(net.config.n_tau_features)
     cos_feats = np.cos(np.pi * taus.reshape(-1, 1) * m[None, :])
@@ -226,7 +218,7 @@ def batch_q_values(observations: Sequence[Observation], net: QNetwork,
                               ad.reshape(phi, (b, k, -1))), phi.shape)
     hidden = ad.gelu(ad.linear(fused, *net._p("dec.w1", "dec.b1"), ks))
     z = ad.linear(hidden, *net._p("dec.w2", "dec.b2"), ks)
-    return z, _block_means(z, ks)
+    return z, ad.block_mean(z, ks)
 
 
 def q_values(obs: Observation, net: QNetwork,

@@ -319,6 +319,72 @@ def rows(x, idx):
     return ad.Tensor(x.data[idx], parents=(x,), push=push)
 
 
+# The reductions along one axis and the padded block layout that the package
+# pooled with before it reduced runs of equal-size blocks (``ad.block_max``,
+# ``ad.block_mean``); the references below pool with them.
+
+def amax(x, axis: int = 0):
+    """Max along one axis; gradient flows to the first maximizer only."""
+    from jobshopls.nn import autodiff as ad
+
+    idx = x.data.argmax(axis=axis)
+    out = np.take_along_axis(x.data, np.expand_dims(idx, axis), axis=axis)
+    def push(g):
+        if x.requires_grad:
+            gx = np.zeros_like(x.data)
+            np.put_along_axis(gx, np.expand_dims(idx, axis),
+                              np.expand_dims(g, axis), axis=axis)
+            x._accumulate(gx)
+    return ad.Tensor(np.squeeze(out, axis=axis), parents=(x,), push=push)
+
+
+def tmean(x, axis=None, keepdims: bool = False, count=None):
+    """Mean along ``axis`` (all if None), sum then divide as ``np.mean`` does;
+    ``count``, shaped like the sum with kept dims, replaces the axis length."""
+    from jobshopls.nn import autodiff as ad
+
+    if count is None:
+        count = x.data.size if axis is None else x.shape[axis]
+    def push(g):
+        if not x.requires_grad:
+            return
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        # divide after broadcasting: a copied broadcast view may be F-ordered
+        x._accumulate(np.broadcast_to(g, x.shape) / count)
+    out = x.data.sum(axis=axis, keepdims=True) / count
+    return ad.Tensor(out if keepdims else np.squeeze(out, axis=axis),
+                     parents=(x,), push=push)
+
+
+def padded_blocks(x, sizes, fill: float):
+    """The consecutive row blocks of a 2-D tensor with these sizes, as one
+    (len(sizes), max(sizes), d) array padded after each block with ``fill``."""
+    from jobshopls.nn import autodiff as ad
+
+    sizes = np.asarray(sizes)
+    mask = np.arange(sizes.max()) < sizes[:, None]
+    out = np.full(mask.shape + x.shape[1:], fill, dtype=np.float64)
+    out[mask] = x.data
+    def push(g):
+        if x.requires_grad:
+            x._accumulate(g[mask])
+    return ad.Tensor(out, parents=(x,), push=push)
+
+
+def padded_block_max(x, sizes):
+    """Block maxima through one padded array: -inf never wins the max."""
+    return amax(padded_blocks(x, sizes, -np.inf), axis=1)
+
+
+def padded_block_mean(x, sizes):
+    """Block means through one padded array. The sum over a block adds its
+    rows one at a time, so the pads, -0.0 (x + -0.0 == x, for x = -0.0
+    too), leave it exact."""
+    sizes = np.asarray(sizes)
+    return tmean(padded_blocks(x, sizes, -0.0), axis=1, count=sizes[:, None, None])
+
+
 def reference_encode(obs, net):
     """Per-node, per-group and (1, d) scalar-feature embeddings of one graph."""
     from jobshopls.nn import autodiff as ad
@@ -337,15 +403,15 @@ def reference_encode(obs, net):
         order = np.argsort(obs.groups, kind="stable")
         stacked = ad.reshape(ad.permute_rows(omega_node, order),
                              (obs.n_groups, counts[0], -1))
-        pooled = ad.concat([ad.amax(stacked, axis=1),
-                            ad.tmean(stacked, axis=1)], axis=1)
+        pooled = ad.concat([amax(stacked, axis=1),
+                            tmean(stacked, axis=1)], axis=1)
         omega_grp = net._run_mlp("grp", pooled)
     else:
         group_rows = []
         for k in range(obs.n_groups):
             members = rows(omega_node, np.flatnonzero(obs.groups == k))
-            pooled = ad.concat([ad.amax(members, axis=0),
-                                ad.tmean(members, axis=0)], axis=0)
+            pooled = ad.concat([amax(members, axis=0),
+                                tmean(members, axis=0)], axis=0)
             group_rows.append(net._run_mlp("grp", ad.reshape(pooled, (1, -1))))
         omega_grp = ad.concat(group_rows, axis=0)
 
@@ -360,8 +426,8 @@ def reference_q_values(obs, net, taus):
 
     taus = np.asarray(taus, dtype=np.float64)
     omega_node, omega_grp, omega_feat = reference_encode(obs, net)
-    pooled = ad.concat([ad.tmean(omega_node, axis=0, keepdims=True),
-                        ad.tmean(omega_grp, axis=0, keepdims=True),
+    pooled = ad.concat([tmean(omega_node, axis=0, keepdims=True),
+                        tmean(omega_grp, axis=0, keepdims=True),
                         omega_feat], axis=1)
     m = np.arange(net.config.n_tau_features)
     cos_feats = np.cos(np.pi * taus[:, None] * m[None, :])
@@ -369,7 +435,7 @@ def reference_q_values(obs, net, taus):
     fused = ad.mul(pooled, phi)
     hidden = ad.gelu(ad.linear(fused, *net._p("dec.w1", "dec.b1")))
     z = ad.linear(hidden, *net._p("dec.w2", "dec.b2"))
-    return z, ad.tmean(z, axis=0)
+    return z, tmean(z, axis=0)
 
 
 def reference_td_loss(batch, weights, net, target_net, k_taus=8, kp_taus=8,

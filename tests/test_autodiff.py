@@ -56,41 +56,87 @@ def test_mean_max_and_gather():
     from oracles import rows
 
     def build(t):
-        picked = rows(t, np.array([0, 2, 2]))
-        return ad.add(ad.tsum(ad.amax(picked, axis=0)),
-                      ad.tmean(t))
+        picked = rows(t, np.array([0, 2, 2, 1]))
+        return ad.add(ad.tsum(ad.block_max(picked, [1, 3])),
+                      ad.tsum(ad.block_mean(t, [3, 1])))
     check(build, (4, 3))
 
 
 @pytest.mark.parametrize("fill", [-np.inf, 0.0])
 def test_blocks_pads_and_gradient(fill):
+    from oracles import amax, padded_blocks
+
     sizes = [2, 4, 1]
     x = np.arange(14.0).reshape(7, 2)
-    out = ad.blocks(ad.constant(x), sizes, fill).data
+    out = padded_blocks(ad.constant(x), sizes, fill).data
     assert out.shape == (3, 4, 2)
     assert np.array_equal(out[1], x[2:6]) and np.array_equal(out[2, 0], x[6])
     assert np.all(out[0, 2:] == fill) and np.all(out[2, 1:] == fill)
     # the pads reach the output but take no gradient
     r = np.random.default_rng(11).standard_normal((3, 4, 2))
     def build(t):
-        b = ad.blocks(t, sizes, fill)
+        b = padded_blocks(t, sizes, fill)
         if fill == -np.inf:
-            return ad.tsum(ad.mul(ad.amax(b, axis=1), ad.constant(r[:, 0])))
+            return ad.tsum(ad.mul(amax(b, axis=1), ad.constant(r[:, 0])))
         return ad.tsum(ad.mul(b, ad.constant(r)))
     check(build, (7, 2), seed=12)
 
 
+def test_equal_size_union_pools_without_padded_copies():
+    from jobshopls import generate_instance
+    from jobshopls.env import ActionSpace, reset
+    from jobshopls.nn import GNNConfig, QNetwork
+    from jobshopls.nn.qnetwork import batch_q_values
+
+    net = QNetwork(10, GNNConfig.desk_scale(), seed=24)
+    observations = [reset(generate_instance(6, 6, seed=s), seed=s)[1] for s in range(3)]
+    z, q = batch_q_values(observations, net, np.full((3, 4), 0.5))
+    # a padded layout is (blocks, block size, d): the 18 machine groups of 6
+    # node rows, the 3 graphs of 36 node or 6 group rows, of 4 quantile rows
+    padded = {(18, 6, 32), (3, 36, 32), (3, 6, 32), (3, 4, 10)}
+    stack, seen = [q], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            assert node.shape not in padded
+            stack.extend(node._parents)
+    assert len(seen) > 100 and q._parents == (z,)
+
+
 def test_tmean_with_counts():
+    from oracles import tmean
+
     count = np.array([2.0, 4.0, 1.0])[:, None, None]
     r = np.random.default_rng(13).standard_normal((3, 2))
-    check(lambda t: ad.tsum(ad.mul(ad.tmean(t, axis=1, count=count),
+    check(lambda t: ad.tsum(ad.mul(tmean(t, axis=1, count=count),
                                    ad.constant(r))), (3, 4, 2), seed=14)
     x = np.random.default_rng(15).standard_normal((3, 4, 2))
     # the same bits as np.mean when the count is the axis length
-    assert np.array_equal(ad.tmean(ad.constant(x), axis=1,
-                                   count=np.full((3, 1, 1), 4)).data, x.mean(axis=1))
-    assert np.array_equal(ad.tmean(ad.constant(x), axis=1, keepdims=True).data,
+    assert np.array_equal(tmean(ad.constant(x), axis=1,
+                                count=np.full((3, 1, 1), 4)).data, x.mean(axis=1))
+    assert np.array_equal(tmean(ad.constant(x), axis=1, keepdims=True).data,
                           x.mean(axis=1, keepdims=True))
+    assert np.array_equal(ad.block_mean(ad.constant(x.reshape(12, 2)), [4] * 3).data,
+                          x.mean(axis=1))
+
+
+# machine groups of a 6x6 and an 8x4 graph, then those graphs' node counts
+@pytest.mark.parametrize("sizes", [(6,) * 6 + (8,) * 4 + (6,) * 6,
+                                   (36, 32, 32, 36), (36,) * 4])
+def test_block_pooling_equals_padded_reference(sizes):
+    from oracles import padded_block_max, padded_block_mean
+
+    rng = np.random.default_rng(16)
+    # halves make ties, which must route to the same first maximizer
+    x = np.round(rng.standard_normal((sum(sizes), 5)) * 2) / 2
+    r = rng.standard_normal((len(sizes), 5))
+    for op, reference in ((ad.block_max, padded_block_max),
+                          (ad.block_mean, padded_block_mean)):
+        got, want = (tape(f, x, [], r, sizes=sizes) for f in (op, reference))
+        assert np.array_equal(op(ad.constant(x), sizes).data,
+                              reference(ad.constant(x), sizes).data)
+        assert np.array_equal(got[0], want[0])
 
 
 def test_concat_splits_gradient():
@@ -215,9 +261,9 @@ def test_second_backward_through_a_spent_tape_raises():
 
 
 def test_amax_routes_gradient_to_first_maximum():
-    x = ad.parameter(np.array([[1.0, 3.0, 3.0]]))
-    ad.tsum(ad.amax(x, axis=1)).backward()
-    assert np.array_equal(x.grad, [[0.0, 1.0, 0.0]])
+    x = ad.parameter(np.array([[1.0], [3.0], [3.0], [2.0], [2.0]]))
+    ad.tsum(ad.block_max(x, [3, 2])).backward()
+    assert np.array_equal(x.grad, [[0.0], [1.0], [0.0], [1.0], [0.0]])
 
 
 def tape(op, x, params, r, **kwargs):
@@ -244,7 +290,10 @@ def check_union_backward(op, x, params, d_out, sizes):
         assert np.array_equal(got, want), i
 
 
-UNION_SIZES = [(37, 1, 64, 30), (24, 24, 24), (5, 83)]
+# the last two are runs of equal sizes: of length 2, 3 and 1 in one union,
+# and the 32 equal graphs of a training batch
+UNION_SIZES = [(37, 1, 64, 30), (24, 24, 24), (5, 83), (24, 24, 5, 5, 5, 37),
+               (6,) * 32]
 
 
 @pytest.mark.parametrize("sizes", UNION_SIZES)
@@ -265,13 +314,41 @@ def test_layer_norm_backward_per_graph_equals_separate_tapes(sizes):
 
 # no one-row segment: its forward x @ w1 is a gemv on its own tape, which
 # rounds differently from a row of the union's gemm
-@pytest.mark.parametrize("sizes", [(37, 2, 64, 30), (24, 24, 24), (5, 83)])
+@pytest.mark.parametrize("sizes", [(37, 2, 64, 30)] + UNION_SIZES[1:])
 def test_mlp_backward_per_graph_equals_separate_tapes(sizes):
     rng = np.random.default_rng(22)
     x = rng.standard_normal((sum(sizes), 64))
     params = [rng.standard_normal((64, 96)), rng.standard_normal(96),
               rng.standard_normal((96, 48)), rng.standard_normal(48)]
     check_union_backward(ad.mlp, x, params, 48, sizes)
+
+
+@pytest.mark.parametrize("op, shapes", [
+    (ad.linear, [(64, 64), (64,)]),
+    (ad.layer_norm, [(64,), (64,)]),
+    (ad.mlp, [(64, 96), (96,), (96, 64), (64,)]),
+], ids=["linear", "layer_norm", "mlp"])
+def test_union_backward_onto_an_existing_gradient(op, shapes):
+    # op(op(x)) on one tape: the outer push writes each parameter's gradient,
+    # the inner one adds onto it; separate tapes run the outer op graph by
+    # graph, then the inner one with the input gradients the outer sent
+    sizes = (24, 24, 5, 5, 5, 37)
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal((sum(sizes), 64))
+    params = [rng.standard_normal(shape) for shape in shapes]
+    r = rng.standard_normal(x.shape)
+    xt, ps = ad.parameter(x), [ad.parameter(p) for p in params]
+    mid = op(xt, *ps, sizes=sizes)
+    ad.tsum(ad.mul(op(mid, *ps, sizes=sizes), ad.constant(r))).backward()
+    graphs = [slice(e - s, e) for s, e in zip(sizes, np.cumsum(sizes))]
+    outer = [tape(op, mid.data[s], params, r[s]) for s in graphs]
+    inner = [tape(op, x[s], params, gy) for s, (gy, _) in zip(graphs, outer)]
+    assert np.array_equal(xt.grad, np.concatenate([gx for gx, _ in inner]))
+    for i, p in enumerate(ps):
+        want = outer[0][1][i].copy()
+        for _, grads in outer[1:] + inner:
+            want += grads[i]
+        assert np.array_equal(p.grad, want), i
 
 
 def test_fold_sum_adds_left_to_right():
@@ -296,3 +373,24 @@ def test_every_public_op_has_a_caller_in_the_package():
                  if isinstance(node, ast.Attribute)
                  and isinstance(node.value, ast.Name) and node.value.id == "ad"}
     assert defined - used == set()
+
+
+def test_every_private_helper_has_a_caller_in_the_package():
+    # a module-level helper counts as called when a name outside its own
+    # definition reads it, in the autodiff module or elsewhere in the package
+    def names(tree) -> set:
+        return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+                | {node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)})
+
+    package = Path(ad.__file__).resolve().parent.parent
+    body = ast.parse(Path(ad.__file__).read_text()).body
+    helpers = {node.name for node in body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")}
+    used = set()
+    for node in body:
+        used |= names(node) - {getattr(node, "name", None)}
+    for path in package.rglob("*.py"):
+        if path.resolve() != Path(ad.__file__).resolve():
+            used |= names(ast.parse(path.read_text()))
+    assert helpers - used == set()

@@ -300,3 +300,15 @@ def test_every_search_graph_field_is_read_in_the_package():
         read |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     assert {f.name for f in fields(SearchGraph)} - read == set()
+
+
+def test_solution_reads_the_instance_op_ids():
+    for j, m, seed in [(1, 1, 0), (1, 4, 1), (5, 1, 2), (4, 3, 3), (15, 15, 4)]:
+        inst = generate_instance(j, m, seed=seed)
+        graph = build_graph(inst, dispatch(inst, DispatchRule.RND, seed=seed))
+        seqs = graph.solution().machine_seq
+        # the per-op conversion the cached table replaces
+        assert seqs == [[OpId(*divmod(v, m)) for v in row] for row in graph.rows]
+        assert all(type(op) is OpId for row in seqs for op in row)
+        assert inst.op_ids is inst.op_ids and len(inst.op_ids) == j * m
+        assert build_graph(inst, graph.solution()).rows == graph.rows

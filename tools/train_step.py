@@ -9,7 +9,8 @@ instance, it collects BATCH transitions with random actions (action space A
 and the horizon of ``TrainConfig``; an n-step transition needs n steps, so it
 takes BATCH + n - 1 steps) and runs ``td_loss`` plus ``backward`` on
 them, as one optimizer step of ``training.train`` does. It records the
-minimum wall time over REPEATS steps, untraced, and the ``tracemalloc`` peak
+minimum wall time over REPEATS steps, untraced, the minimum over the same
+steps of ``backward`` alone (``backward_ms``), and the ``tracemalloc`` peak
 of one more step: the most memory the step held at once, beyond what was
 allocated before it (the nets and the batch). Results go under
 ``train_step`` in the output file, together with the core count and the
@@ -41,12 +42,16 @@ NETS = {"desk": GNNConfig.desk_scale(), "full": GNNConfig()}
 SIZES = (6, 15)
 
 
-def gradient_step(batch, net, target, seed: int) -> None:
-    """One step's gradient pass; the loss is dropped on return."""
+def gradient_step(batch, net, target, seed: int) -> tuple:
+    """One step's gradient pass, as the wall seconds of ``td_loss`` and of
+    ``backward``; the loss is dropped on return."""
     net.zero_grad()
+    t0 = time.perf_counter()
     loss, _ = td_loss(batch, np.ones(len(batch)), net, target,
                       rng=np.random.default_rng(seed))
+    t1 = time.perf_counter()
     loss.backward()
+    return t1 - t0, time.perf_counter() - t1
 
 
 def measure(net_config: GNNConfig, size: int) -> dict:
@@ -60,17 +65,14 @@ def measure(net_config: GNNConfig, size: int) -> dict:
         raise RuntimeError(f"collected {len(batch)} transitions, not {BATCH}")
     net = QNetwork(config.action_space.n_actions, net_config, seed=0)
     target = QNetwork(config.action_space.n_actions, net_config, seed=1)
-    walls = []
-    for k in range(REPEATS):
-        t0 = time.perf_counter()
-        gradient_step(batch, net, target, k)
-        walls.append(time.perf_counter() - t0)
+    times = [gradient_step(batch, net, target, k) for k in range(REPEATS)]
     net.zero_grad()
     tracemalloc.start()
     gradient_step(batch, net, target, REPEATS)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    return {"wall_ms": round(min(walls) * 1e3, 1),
+    return {"wall_ms": round(min(f + b for f, b in times) * 1e3, 1),
+            "backward_ms": round(min(b for _, b in times) * 1e3, 1),
             "traced_peak_mb": round(peak / 2**20, 1)}
 
 
