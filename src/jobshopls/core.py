@@ -172,19 +172,18 @@ class SearchGraph:
     per-op lists are indexed by flat op id (job * n_machines + pos), with
     two extra virtual slots for the source (id n_ops) and sink (id n_ops +
     1), and hold Python ints for the scalar walkers. Processing times and
-    job neighbours are the instance's ``flat_ops``.
+    job neighbours are the instance's ``flat_ops``; an op's head (earliest
+    start) is ``end[v] - p[v]`` and its tail ``out[v] - p[v]``.
     """
 
     instance: Instance
     makespan: int
     rows: tuple               # M tuples of flat op ids in machine-sequence order
-    h: list                   # heads: earliest start times
-    q: list                   # tails: longest path to the sink, excluding own proc
     mach_pred: list
     mach_succ: list
     topo: list                # real ops in the topological order of the build
-    end: list                 # h + p
-    out: list                 # q + p
+    end: list                 # head + p: earliest end times
+    out: list                 # tail + p: longest path to the sink, own proc included
 
     def solution(self) -> Solution:
         """The machine orders as OpId lists."""
@@ -269,8 +268,8 @@ def _longest_paths(instance: Instance, rows: tuple, mp: list, ms: list,
     """The SearchGraph of machine orders ``rows`` and machine neighbours mp/ms.
 
     Only positions a..b-1 of ``parent.topo`` are re-sorted, and a cycle can
-    only lie among them; the parent's heads before them and tails after them
-    are kept. Without a parent every op is sorted and nothing is kept.
+    only lie among them; the parent's end times before them and out times
+    after them are kept. Without a parent every op is sorted and nothing is kept.
     """
     n = instance.n_ops
     pl, jp, js, _ = instance.flat_ops
@@ -298,30 +297,26 @@ def _longest_paths(instance: Instance, rows: tuple, mp: list, ms: list,
         raise CyclicSolutionError("machine sequences conflict with job routes")
     topo = topo[:a] + resorted + topo[b:]
     if parent is None:
-        head, end, tail, out = ([0] * (n + 2) for _ in range(4))
+        end, out = [0] * (n + 2), [0] * (n + 2)
     else:
-        head, end, tail, out = parent.h[:], parent.end[:], parent.q[:], parent.out[:]
+        end, out = parent.end[:], parent.out[:]
 
     # Both longest-path passes run on Python ints: indexing lists is several
     # times faster than indexing numpy arrays one scalar at a time. The
     # virtual slots stay 0.
     for v in topo[a:]:
         x, y = end[jp[v]], end[mp[v]]
-        x = x if x > y else y
-        head[v] = x
-        end[v] = x + pl[v]
+        end[v] = (x if x > y else y) + pl[v]
     for v in reversed(topo[:b]):
         x, y = out[js[v]], out[ms[v]]
-        x = x if x > y else y
-        tail[v] = x
-        out[v] = x + pl[v]
+        out[v] = (x if x > y else y) + pl[v]
 
     # a job's last op ends last in its job, so the makespan is their max
     M = instance.n_machines
     return SearchGraph(instance=instance,
                        makespan=max(end[M - 1:n:M] if M else [], default=0),
-                       rows=rows, h=head, q=tail, mach_pred=mp, mach_succ=ms,
-                       topo=topo, end=end, out=out)
+                       rows=rows, mach_pred=mp, mach_succ=ms, topo=topo,
+                       end=end, out=out)
 
 
 def critical_path(graph: SearchGraph) -> list[int]:
@@ -340,27 +335,32 @@ def critical_blocks(graph: SearchGraph) -> list[CriticalBlock]:
     block closes at each job arc; blocks of length one are kept.
     """
     n = graph.instance.n_ops
-    h, end, cmax = graph.h, graph.end, graph.makespan
+    end, cmax = graph.end, graph.makespan
     mp, rows = graph.mach_pred, graph.rows
-    _, jp, _, machine = graph.instance.flat_ops
+    p, jp, _, machine = graph.instance.flat_ops
     if not n:
         return []
     # path ends end at the makespan, so their tails are zero; max() keeps the
     # first, i.e. lowest, id among the larger heads
     v = end.index(cmax)
     if end.count(cmax) > 1:
-        v = max((u for u in range(v, n) if end[u] == cmax), key=h.__getitem__)
+        v = max((u for u in range(v, n) if end[u] == cmax),
+                key=lambda u: end[u] - p[u])
     runs, run = [], [v]
-    while h[v] > 0:
-        # a virtual predecessor (the source) never continues the path
+    h = end[v] - p[v]
+    while h > 0:
+        # a virtual predecessor (the source) never continues the path; when
+        # both predecessors end at h, the job one has the larger head iff it
+        # has the shorter processing time
         u, w = mp[v], jp[v]
-        mach = u < n and end[u] == h[v]
-        if mach and not (w < n and end[w] == h[v] and h[w] > h[u]):
+        if u < n and end[u] == h and not (w < n and end[w] == h and p[w] < p[u]):
             run.append(u)
         else:
             runs.append(run)
             run = [w]
         v = run[-1]
+        h = end[v] - p[v]
     runs.append(run)
-    return [CriticalBlock(machine[r[-1]], rows[machine[r[-1]]].index(r[-1]),
-                          tuple(reversed(r))) for r in reversed(runs)]
+    new = tuple.__new__    # a NamedTuple's own constructor costs a Python call
+    return [new(CriticalBlock, (machine[r[-1]], rows[machine[r[-1]]].index(r[-1]),
+                                tuple(reversed(r)))) for r in reversed(runs)]

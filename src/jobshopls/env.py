@@ -147,8 +147,8 @@ def observe(state: EnvState) -> Observation:
     J, n = inst.n_jobs, inst.n_ops
     cmax = max(graph.makespan, 1)
     p = inst.proc.reshape(-1)
-    head = np.array(graph.h[:n], dtype=np.int64)
-    tail = np.array(graph.q[:n], dtype=np.int64)
+    head = np.array(graph.end[:n], dtype=np.int64) - p
+    tail = np.array(graph.out[:n], dtype=np.int64) - p
     order = np.array(graph.rows, dtype=np.int64).reshape(inst.n_machines, J)
     pos = np.empty(n, dtype=np.int64)
     pos[order] = np.arange(J)     # each op's index on its machine

@@ -99,24 +99,23 @@ class LocalOptimum:
 def enumerate_moves(graph: SearchGraph, op: Operator) -> list[Move]:
     """All candidate moves of one operator on the current critical blocks."""
     moves: list[Move] = []
-    for block in critical_blocks(graph):
-        m, s, size = block.machine, block.start, len(block.ops)
+    new = tuple.__new__    # a NamedTuple's own constructor costs a Python call
+    for m, s, ops in critical_blocks(graph):
+        size = len(ops)
+        if size < 2:       # no operator moves a single op
+            continue
         if op is Operator.CT:
-            for i in range(size - 1):
-                moves.append(Move(op, m, s + i, s + i + 1))
+            moves += [new(Move, (op, m, i, i + 1)) for i in range(s, s + size - 1)]
         elif op is Operator.CET:
-            if size >= 2:
-                moves.append(Move(op, m, s, s + 1))
+            moves.append(new(Move, (op, m, s, s + 1)))
             if size >= 3:
-                moves.append(Move(op, m, s + size - 2, s + size - 1))
-        elif op is Operator.ECET:
-            if size >= 4:
-                moves.append(Move(op, m, s, s + size - 2))
+                moves.append(new(Move, (op, m, s + size - 2, s + size - 1)))
+        elif op is Operator.ECET and size >= 4:
+            moves.append(new(Move, (op, m, s, s + size - 2)))
         elif op is Operator.CEI:
-            for f in range(size):
-                for t in range(size):
-                    if abs(f - t) >= 2:
-                        moves.append(Move(op, m, s + f, s + t))
+            slots = range(s, s + size)
+            moves += [new(Move, (op, m, f, t)) for f in slots for t in slots
+                      if abs(f - t) >= 2]
     return moves
 
 
@@ -143,57 +142,61 @@ def _pair_estimate(graph: SearchGraph, m: int, i: int) -> int:
     pair cannot change, so this is the classical O(1) evaluation.
     """
     u, v = graph.rows[m][i: i + 2]
-    h, q = graph.h, graph.q
+    end, out = graph.end, graph.out
     p, job_pred, job_succ, _ = graph.instance.flat_ops
-    jp_u, jp_v = job_pred[u], job_pred[v]
-    js_u, js_v = job_succ[u], job_succ[v]
-    mp_u, ms_v = graph.mach_pred[u], graph.mach_succ[v]
-
-    h_v = max(h[jp_v] + p[jp_v], h[mp_u] + p[mp_u])
-    h_u = max(h[jp_u] + p[jp_u], h_v + p[v])
-    q_u = max(q[js_u] + p[js_u], q[ms_v] + p[ms_v])
-    q_v = max(q[js_v] + p[js_v], q_u + p[u])
-    return max(h_v + p[v] + q_v, h_u + p[u] + q_u)
+    # v now runs first: its new end, then u's; u's new tail, then v's
+    x, y = end[job_pred[v]], end[graph.mach_pred[u]]
+    e_v = (x if x > y else y) + p[v]
+    x = end[job_pred[u]]
+    e_u = (x if x > e_v else e_v) + p[u]
+    x, y = out[job_succ[u]], out[graph.mach_succ[v]]
+    q_u = x if x > y else y
+    x, y = out[job_succ[v]], q_u + p[u]
+    x, y = e_v + (x if x > y else y), e_u + q_u
+    return x if x > y else y
 
 
 def _window_estimate(graph: SearchGraph, m: int, lo: int, hi: int,
                      window: list) -> int:
     """Lower bound after reordering machine m's slots lo..hi into ``window``.
 
-    Walks the new order once forward for provisional heads and once backward
-    for provisional tails. The machine-boundary values are exact (nothing
-    upstream of the window head or downstream of its tail can change). A job
-    predecessor's head is trusted only when it is strictly below the head of
-    the old first window op: any path through a window op would push it to
-    at least that head, so such values cannot be stale. Untrusted
-    contributions drop to zero, which only loosens the bound downward.
-    Tails mirror the same guard.
+    Walks the new order once forward for provisional end times and once
+    backward for provisional out times. The machine-boundary values are
+    exact (nothing upstream of the window head or downstream of its tail can
+    change). A job predecessor's end is trusted only when its head is
+    strictly below the head of the old first window op: any path through a
+    window op would push it to at least that head, so such values cannot be
+    stale. Untrusted contributions drop to zero, which only loosens the
+    bound downward. Tails mirror the same guard.
     """
     row = graph.rows[m]
-    h, q = graph.h, graph.q
+    end, out = graph.end, graph.out
     p, job_pred, job_succ, _ = graph.instance.flat_ops
-    before = graph.mach_pred[row[lo]]
-    after = graph.mach_succ[row[hi]]
-    h_min = h[row[lo]]
-    q_min = q[row[hi]]
+    first, last = row[lo], row[hi]
+    h_min = end[first] - p[first]
+    q_min = out[last] - p[last]
 
-    ready = h[before] + p[before]
-    heads = []
+    ready = end[graph.mach_pred[first]]
+    ends = []
     for w in window:
-        jp = job_pred[w]
-        job_part = h[jp] + p[jp] if h[jp] < h_min else 0
-        hw = max(job_part, ready)
-        heads.append(hw)
-        ready = hw + p[w]
+        u = job_pred[w]
+        x = end[u]
+        if x > ready and x - p[u] < h_min:
+            ready = x
+        ready += p[w]
+        ends.append(ready)
 
-    tail_ready = q[after] + p[after]
+    tail = out[graph.mach_succ[last]]
     est = 0
-    for w, hw in zip(reversed(window), reversed(heads)):
-        js = job_succ[w]
-        job_part = q[js] + p[js] if q[js] < q_min else 0
-        qw = max(job_part, tail_ready)
-        est = max(est, hw + p[w] + qw)
-        tail_ready = qw + p[w]
+    for w, e in zip(reversed(window), reversed(ends)):
+        u = job_succ[w]
+        x = out[u]
+        if x > tail and x - p[u] < q_min:
+            tail = x
+        x = e + tail
+        if x > est:
+            est = x
+        tail += p[w]
     return est
 
 
@@ -224,9 +227,9 @@ def estimate_move(graph: SearchGraph, move: Move) -> MoveEval:
     graph and to lie on a critical block (``ls_step`` scores its own)."""
     _check_positions(graph, move)
     row = graph.rows[move.machine]
-    h, q, p = graph.h, graph.q, graph.instance.flat_ops[0]
+    end, out, p = graph.end, graph.out, graph.instance.flat_ops[0]
     for v in (row[move.pos_a], row[move.pos_b]):
-        if h[v] + p[v] + q[v] != graph.makespan:
+        if end[v] + out[v] - p[v] != graph.makespan:
             raise InvalidMove("move no longer lies on a critical block")
     return MoveEval(move=move, estimate=_estimate(graph, move))
 
@@ -261,7 +264,10 @@ def ls_step(graph: SearchGraph, op: Operator) -> Union[Proposal, LocalOptimum]:
     """
     moves = enumerate_moves(graph, op)
     # the moves lie on critical blocks by construction: score them unchecked
-    ests = [_estimate(graph, mv) for mv in moves]
+    if op is Operator.CT or op is Operator.CET:
+        ests = [_pair_estimate(graph, mv[1], mv[2]) for mv in moves]
+    else:
+        ests = [_estimate(graph, mv) for mv in moves]
     # a stable sort: ties go to enumeration order
     for k in sorted(range(len(ests)), key=ests.__getitem__):
         try:

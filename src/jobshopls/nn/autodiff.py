@@ -272,10 +272,19 @@ def _stacks(a: np.ndarray, runs: list) -> list:
     return [a[row:row + r * n].reshape(r, n, -1) for _, row, r, n in runs]
 
 
+# Most bytes one stack of weight-gradient products may take (a full-scale
+# head's 32-graph stack is 25 MB). ``_fold`` adds a run's consecutive chunks
+# in the order of one stack, so the cap changes peak memory, not gradients.
+_PRODUCT_BYTES = 4 * 2**20
+
+
 def _products(a: np.ndarray, g: np.ndarray, runs: list):
-    """Per run, its graphs' products a_b.T @ g_b as one (r, d_a, d_g) stack."""
-    return (np.matmul(sa.transpose(0, 2, 1), sg)
-            for sa, sg in zip(_stacks(a, runs), _stacks(g, runs)))
+    """Per run, its graphs' products a_b.T @ g_b as (k, d_a, d_g) stacks of
+    k consecutive graphs, each within ``_PRODUCT_BYTES``."""
+    k = max(1, _PRODUCT_BYTES // (a.shape[1] * g.shape[1] * 8))
+    for sa, sg in zip(_stacks(a, runs), _stacks(g, runs)):
+        for i in range(0, len(sa), k):
+            yield np.matmul(sa[i:i + k].transpose(0, 2, 1), sg[i:i + k])
 
 
 def _sums(g: np.ndarray, runs: list):

@@ -3,9 +3,10 @@
 The simulators and the brute force are written against the problem
 definition only: no graph, no heads/tails, no incremental updates. The
 walker references (critical path, blocks, move estimates) read a graph only
-through numpy arrays they build from its heads ``h``, tails ``q`` and machine
-orders ``rows``, and index them one numpy scalar at a time, a second
-implementation next to the package's Python-int walkers. The dispatch
+through numpy arrays they build from its heads ``end - p``, tails
+``out - p`` and machine orders ``rows``, and index them one numpy scalar at
+a time, a second implementation next to the package's Python-int walkers,
+which work on end and out times. The dispatch
 reference is the earlier countdown event loop, kept as it was, with its
 ``Generator.choice`` draw among the three best. The solution check is the
 earlier conversion through an (M, J, 2) array of OpIds. Slow and simple on
@@ -138,13 +139,21 @@ def dense_chain_adjacency(chains, n: int):
     return a
 
 
+def heads_tails(graph):
+    """The graph's heads ``end - p`` and tails ``out - p`` over its n + 2
+    slots, as int64 arrays."""
+    p = np.array(graph.instance.flat_ops[0], dtype=np.int64)
+    return (np.array(graph.end, dtype=np.int64) - p,
+            np.array(graph.out, dtype=np.int64) - p)
+
+
 def _arrays(graph):
     """The graph's (M, J) machine orders and its heads and tails over the
     n + 2 slots, as int64 arrays."""
     inst = graph.instance
     order = np.array(graph.rows, dtype=np.int64).reshape(inst.n_machines,
                                                          inst.n_jobs)
-    return order, np.array(graph.h, dtype=np.int64), np.array(graph.q, dtype=np.int64)
+    return (order, *heads_tails(graph))
 
 
 def _neighbour_arrays(graph):
@@ -317,6 +326,16 @@ def rows(x, idx):
             np.add.at(gx, idx, g)
             x._accumulate(gx)
     return ad.Tensor(x.data[idx], parents=(x,), push=push)
+
+
+def reference_products(a, g, runs):
+    """The weight-gradient products of ``autodiff._products`` as one
+    (r, d_a, d_g) stack per run, however many bytes it takes: the unsplit
+    fold that the byte-capped chunks must reproduce."""
+    from jobshopls.nn import autodiff as ad
+
+    return (np.matmul(sa.transpose(0, 2, 1), sg)
+            for sa, sg in zip(ad._stacks(a, runs), ad._stacks(g, runs)))
 
 
 # The reductions along one axis and the padded block layout that the package

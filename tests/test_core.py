@@ -13,13 +13,15 @@ from jobshopls.core import (CyclicSolutionError, Instance, MalformedSolutionErro
                             OpId, SearchGraph, Solution, move_graph)
 from jobshopls.dispatch import DispatchRule, dispatch
 
-from oracles import reference_checked_rows, simulate_heads_tails, simulate_makespan
+from oracles import (heads_tails, reference_checked_rows, simulate_heads_tails,
+                     simulate_makespan)
 
 
 def critical_ops(g):
     """Boolean mask over flat op ids: h + p + q == makespan."""
     n = g.instance.n_ops
-    return np.array(g.h[:n]) + g.instance.proc.reshape(-1) + g.q[:n] == g.makespan
+    h, q = heads_tails(g)
+    return h[:n] + g.instance.proc.reshape(-1) + q[:n] == g.makespan
 
 
 def tiny_instance():
@@ -45,10 +47,11 @@ def test_heads_are_start_times_and_tails_complete_paths():
     n = inst.n_ops
     # start times and tails from the independent simulator
     start, tail = simulate_heads_tails(inst, sol)
-    assert np.array_equal(g.h[:n], start)
-    assert np.array_equal(g.q[:n], tail)
+    h, q = heads_tails(g)
+    assert np.array_equal(h[:n], start)
+    assert np.array_equal(q[:n], tail)
     # h + p + q <= C_max everywhere
-    assert np.all(np.array(g.h[:n]) + inst.proc.reshape(-1) + g.q[:n] <= g.makespan)
+    assert np.all(h[:n] + inst.proc.reshape(-1) + q[:n] <= g.makespan)
 
 
 def test_critical_path_is_connected_chain():
@@ -59,8 +62,9 @@ def test_critical_path_is_connected_chain():
     path = critical_path(g)
     assert sum(p[v] for v in path) == g.makespan
     # consecutive ops share a job or a machine and are time-adjacent
+    h = heads_tails(g)[0]
     for a, b in zip(path, path[1:]):
-        assert g.h[a] + p[a] == g.h[b]
+        assert h[a] + p[a] == h[b]
         assert (a // inst.n_machines == b // inst.n_machines) or (machine[a] == machine[b])
 
 
@@ -288,8 +292,9 @@ def test_heads_and_tails_match_the_simulator(data, j, m):
         return
     g = build_graph(inst, sol)
     n = inst.n_ops
-    assert np.array_equal(g.h[:n], want[0])
-    assert np.array_equal(g.q[:n], want[1])
+    h, q = heads_tails(g)
+    assert np.array_equal(h[:n], want[0])
+    assert np.array_equal(q[:n], want[1])
     assert g.makespan == simulate_makespan(inst, sol)
 
 

@@ -75,7 +75,7 @@ def test_schedules_are_non_delay(rule):
     sol = dispatch(inst, rule)
     g = build_graph(inst, sol)
     n = inst.n_ops
-    start = np.array(g.h[:n])
+    start = np.array(g.end[:n]) - inst.proc.reshape(-1)
     end = start + inst.proc.reshape(-1)
 
     def ready(v):

@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 from jobshopls import (CyclicSolutionError, Instance, build_graph, critical_blocks,
                        critical_path, generate_instance, validate)
 from jobshopls.dispatch import DispatchRule, dispatch, stochastic_dispatch
-from jobshopls.neighborhood import (LocalOptimum, Operator, Proposal,
+from jobshopls.core import CriticalBlock
+from jobshopls.neighborhood import (LocalOptimum, Move, Operator, Proposal,
                                     WouldCreateCycle, apply_move, enumerate_moves,
                                     estimate_move, ls_step, perturb)
 
-from oracles import (apply_move_to_sequences, exact_move_cost,
+from oracles import (apply_move_to_sequences, exact_move_cost, heads_tails,
                      reference_critical_blocks, reference_critical_path,
                      reference_estimate, reference_ls_step, simulate_makespan)
 
@@ -52,6 +53,66 @@ def test_block_of_five_yields_twelve_insertions():
                 if any(b.machine == mv.machine and
                        b.start <= mv.pos_a < b.start + 5 for b in blocks))
     assert count >= 12
+
+
+def constructed_moves(blocks, op) -> list:
+    """The operator's moves on ``blocks`` by the Move constructor, in
+    enumeration order, straight from the operator definitions."""
+    moves = []
+    for m, s, ops in blocks:
+        e = s + len(ops) - 1    # the block's last slot
+        if op is Operator.CT:
+            moves += [Move(op, m, i, i + 1) for i in range(s, e)]
+        elif op is Operator.CET:
+            moves += [Move(op, m, i, i + 1) for i in sorted({s, e - 1}) if s < e]
+        elif op is Operator.ECET and e - s >= 3:
+            moves.append(Move(op, m, s, e - 1))
+        elif op is Operator.CEI:
+            moves += [Move(op, m, f, t) for f in range(s, e + 1)
+                      for t in range(s, e + 1) if abs(f - t) >= 2]
+    return moves
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), j=st.integers(1, 7), m=st.integers(1, 6),
+       seed=st.integers(0, 10_000))
+def test_candidates_are_constructor_equal_named_tuples(data, j, m, seed):
+    proc = np.array(data.draw(st.lists(st.integers(0, 6), min_size=j * m,
+                                       max_size=j * m))).reshape(j, m)
+    machine = np.array([data.draw(st.permutations(range(m))) for _ in range(j)])
+    inst = Instance(j, m, proc, machine)
+    g = build_graph(inst, dispatch(inst, DispatchRule.RND, seed=seed))
+    blocks = critical_blocks(g)
+    assert all(type(b) is CriticalBlock for b in blocks)
+    assert blocks == [CriticalBlock(b.machine, b.start, b.ops) for b in blocks]
+    assert critical_path(g) == [v for b in blocks for v in b.ops]
+    for op in Operator:
+        moves = enumerate_moves(g, op)
+        assert all(type(mv) is Move for mv in moves)
+        assert moves == constructed_moves(blocks, op)
+        assert [mv._asdict() for mv in moves] == [
+            mv._asdict() for mv in constructed_moves(blocks, op)]
+
+
+def test_single_op_blocks_are_kept_but_never_moved():
+    singles = 0
+    for seed in range(10):
+        inst, sol, g = graph_for(seed)
+        h, q = heads_tails(g)
+        p = inst.proc.reshape(-1)
+        path = critical_path(g)
+        for b in critical_blocks(g):
+            if len(b.ops) != 1:
+                continue
+            singles += 1
+            v = b.ops[0]
+            assert v in path and h[v] + p[v] + q[v] == g.makespan
+            assert g.rows[b.machine][b.start] == v
+            for op in Operator:
+                assert not any(mv.machine == b.machine
+                               and b.start in (mv.pos_a, mv.pos_b)
+                               for mv in enumerate_moves(g, op)), (seed, op)
+    assert singles > 0
 
 
 def test_adjacent_swap_estimates_are_sharp_lower_bounds():
@@ -191,8 +252,8 @@ def test_moves_and_perturbations_return_fresh_graphs(data, j, m, seed, steps):
     assert_topological(g)
     for kind, pick in steps:
         old_sol = g.solution()
-        old = (g.rows, g.makespan, *map(list, (g.h, g.q, g.mach_pred, g.mach_succ,
-                                                g.topo, g.end, g.out)))
+        old = (g.rows, g.makespan, *map(list, (g.mach_pred, g.mach_succ, g.topo,
+                                                g.end, g.out)))
         if kind == "perturb":
             new = perturb(g, 2, seed=pick)
         else:
@@ -210,11 +271,11 @@ def test_moves_and_perturbations_return_fresh_graphs(data, j, m, seed, steps):
                 continue
             assert new.solution() == want
         ref = build_graph(inst, new.solution())
-        assert (new.h, new.q, new.mach_pred, new.mach_succ) == (
-            ref.h, ref.q, ref.mach_pred, ref.mach_succ)
+        assert (new.end, new.out, new.mach_pred, new.mach_succ) == (
+            ref.end, ref.out, ref.mach_pred, ref.mach_succ)
         assert new.makespan == ref.makespan == simulate_makespan(inst, new.solution())
         assert_topological(new)
-        assert (g.rows, g.makespan, g.h, g.q, g.mach_pred, g.mach_succ, g.topo,
+        assert (g.rows, g.makespan, g.mach_pred, g.mach_succ, g.topo,
                 g.end, g.out) == old
         g = new
 

@@ -279,6 +279,33 @@ def test_td_loss_equals_reference_on_training_batches(make_batch, n_actions, con
         assert np.array_equal(got[2][name], want[2][name]), name
 
 
+def test_byte_capped_products_equal_the_unsplit_fold(monkeypatch):
+    from oracles import reference_products
+
+    batch = desk_buffer_batch()
+    net = QNetwork(2, GNNConfig(), seed=55)
+    target = QNetwork(2, GNNConfig(), seed=56)
+    biggest = {}
+
+    def sizing(products, key):
+        def spy(a, g, runs):
+            for stack in products(a, g, runs):
+                biggest[key] = max(biggest.get(key, 0), stack.nbytes)
+                yield stack
+        return spy
+
+    monkeypatch.setattr(training.ad, "_products",
+                        sizing(training.ad._products, "split"))
+    got = loss_and_grads(td_loss, batch, net, target, 57)
+    monkeypatch.setattr(training.ad, "_products", sizing(reference_products, "whole"))
+    want = loss_and_grads(td_loss, batch, net, target, 57)
+    # the full-scale head's 32-graph stack exceeds the cap, so it was split
+    assert biggest["split"] <= training.ad._PRODUCT_BYTES < biggest["whole"]
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    for name in net.params:
+        assert np.array_equal(got[2][name], want[2][name]), name
+
+
 def test_all_done_batch_runs_one_gradient_forward(monkeypatch):
     from oracles import reference_td_loss
 
