@@ -24,7 +24,7 @@ from .dispatch import DispatchRule, dispatch
 from .env import ActionSpace, reset as env_reset, step as env_step  # noqa: F401
 from .metaheuristics import (ControllerKind, load_controller_config,
                              read_key_values, run)
-from .taillard import best_known, builtin_names, generate_instance, resolve_instance
+from .taillard import best_known, generate_instance, resolve_instance
 
 _POLICY_METHODS = {"nls_a": ActionSpace.A, "nls_an": ActionSpace.AN,
                    "nls_anp": ActionSpace.ANP}

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import Instance, Solution, build_graph
 from .dispatch import DispatchRule, stochastic_dispatch
-from .env import start as env_start, transition
+from .env import EnvState, start as env_start, transition
 from .neighborhood import OPERATOR_ORDER, Operator, perturb
 # not called here, but perfbench/tracing.py patches metaheuristics.dispatch
 # and metaheuristics.ls_step and fails on a name it cannot find
@@ -51,7 +51,6 @@ class ControllerConfig:
 
     kind: ControllerKind
     t0: float = 0.05              # initial temperature as fraction of f(s_init)
-    alpha_t: Optional[float] = None   # geometric cooling; None = reach 1% of T0
     n_stall: int = 5              # non-improvements before perturb (ILS family)
     restart_after: int = 20       # non-improvements before restart (SA_RESTART)
     strength: int = 3             # random CT moves per perturbation
@@ -59,8 +58,6 @@ class ControllerConfig:
     operator_order: tuple = OPERATOR_ORDER   # VNS cycle
 
     def __post_init__(self):
-        if self.alpha_t is not None and not 0.0 < self.alpha_t < 1.0:
-            raise ValueError("alpha_t must be in (0, 1)")
         if self.n_stall < 1 or self.restart_after < 1:
             raise ValueError("stall thresholds must be >= 1")
         if self.strength < 1:
@@ -83,73 +80,53 @@ class ControllerConfig:
         return cls(kind=kind)
 
 
-@dataclass
-class SearchView:
-    """What a controller is allowed to see before deciding.
-
-    ``pending_cost`` is None when the last step hit a LocalOptimum.
-    """
-
-    committed_cost: int
-    pending_cost: Optional[int]
-    best_cost: int
-    stall: int
-
-    @property
-    def delta(self) -> Optional[int]:
-        if self.pending_cost is None:
-            return None
-        return self.pending_cost - self.committed_cost
-
-
 class Controller:
-    """Decision rule + mutable annealing/cursor state."""
+    """Decision rule + mutable annealing/cursor state over one search."""
 
-    def __init__(self, config: ControllerConfig, init_cost: int,
-                 iterations: int, rng: np.random.Generator):
+    def __init__(self, config: ControllerConfig, state: EnvState):
         self.config = config
-        self.rng = rng
-        self.temperature = config.t0 * init_cost
-        if config.alpha_t is not None:
-            self.alpha_t = config.alpha_t
-        else:
-            # geometric decay hitting 1% of T0 at the end of the budget
-            self.alpha_t = 0.01 ** (1.0 / max(iterations - 1, 1))
+        self.rng = state.rng
+        self.temperature = config.t0 * state.init_cost
+        # geometric decay hitting 1% of T0 at the end of the budget
+        self.alpha_t = 0.01 ** (1.0 / max(state.t_max - 1, 1))
         self.cursor = 0
 
-    def _sa_accept(self, delta: Optional[int]) -> bool:
-        if delta is None:
+    def _sa_accept(self, state: EnvState) -> bool:
+        if state.pending is None:
             return True
+        delta = state.pending.new_cost - state.graph.makespan
         if delta <= 0:
             return True
         if self.temperature <= 1e-12:
             return False
         return float(self.rng.random()) < math.exp(-delta / self.temperature)
 
-    def decide(self, view: SearchView) -> tuple[bool, Operator, str]:
+    def decide(self, state: EnvState) -> tuple[bool, Operator, str]:
         """(accept the pending proposal, next operator, event), where the
-        event is '', 'perturb' or 'restart' as in ``TraceRow``."""
+        event is '', 'perturb' or 'restart' as in ``TraceRow``.
+
+        ``state.pending`` is None when the last step hit a LocalOptimum."""
         cfg = self.config
         kind = cfg.kind
         if kind in (ControllerKind.SA, ControllerKind.SA_RESTART):
-            accept = self._sa_accept(view.delta)
+            accept = self._sa_accept(state)
             self.temperature *= self.alpha_t
             restart = (kind is ControllerKind.SA_RESTART
-                       and view.stall >= cfg.restart_after)
+                       and state.stall >= cfg.restart_after)
             return accept, Operator.CET, "restart" if restart else ""
 
+        pending = state.pending
         if kind in (ControllerKind.ILS, ControllerKind.ILS_SA):
             if kind is ControllerKind.ILS:
-                accept = (view.pending_cost is not None
-                          and view.pending_cost < view.best_cost)
+                accept = pending is not None and pending.new_cost < state.best_cost
             else:
-                accept = self._sa_accept(view.delta)
+                accept = self._sa_accept(state)
                 self.temperature *= self.alpha_t
-            return accept, Operator.CET, "perturb" if view.stall >= cfg.n_stall else ""
+            return accept, Operator.CET, "perturb" if state.stall >= cfg.n_stall else ""
 
         # VNS: strict improvement, operator cycle, shake when exhausted
-        improving = (view.pending_cost is not None
-                     and view.pending_cost < view.committed_cost)
+        improving = (pending is not None
+                     and pending.new_cost < state.graph.makespan)
         event = ""
         if improving:
             self.cursor = 0
@@ -193,17 +170,11 @@ def run(config: Union[ControllerConfig, ControllerKind], instance: Instance,
     # restarts) where it was
     rng.integers(1 << 31)
     state = env_start(instance, seed=rng, t_max=iterations)
-    ctrl = Controller(config, state.init_cost, iterations, rng)
+    ctrl = Controller(config, state)
 
     trace: list[TraceRow] = []
     while not state.done:
-        pending = state.pending
-        accept, operator, event = ctrl.decide(SearchView(
-            committed_cost=state.graph.makespan,
-            pending_cost=None if pending is None else pending.new_cost,
-            best_cost=state.best_cost,
-            stall=state.stall,
-        ))
+        accept, operator, event = ctrl.decide(state)
         jump = None
         if event == "restart":
             jump = lambda _: build_graph(instance, stochastic_dispatch(
@@ -244,9 +215,8 @@ def read_key_values(path, fields: dict) -> dict:
 
 
 _CONTROLLER_FIELDS = {
-    "kind": ControllerKind.parse, "t0": float, "alpha_t": float,
-    "n_stall": int, "restart_after": int, "strength": int,
-    "restart_noise": float,
+    "kind": ControllerKind.parse, "t0": float, "n_stall": int,
+    "restart_after": int, "strength": int, "restart_noise": float,
     "operator_order": lambda text: tuple(
         Operator.parse(tok) for tok in text.replace(",", " ").split()),
 }

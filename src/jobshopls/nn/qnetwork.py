@@ -240,12 +240,17 @@ def save_checkpoint(net: QNetwork, path) -> None:
 
 
 def load_checkpoint(path) -> QNetwork:
-    """The net saved at ``path``; a missing parameter or one of the wrong
-    shape raises ``ValueError`` naming it and the file."""
+    """The net saved at ``path``; a file without the ``__meta__`` record, a
+    missing parameter or one of the wrong shape raises ``ValueError`` naming
+    the file."""
     with np.load(path) as data:
+        if "__meta__" not in data.files:
+            raise ValueError(f"checkpoint {path}: no __meta__ record; "
+                             "not a file written by save_checkpoint")
         meta = json.loads(bytes(data["__meta__"]).decode())
         if meta["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta['version']}")
+            raise ValueError(f"checkpoint {path}: unsupported version "
+                             f"{meta['version']}")
         try:
             return QNetwork(meta["n_actions"], GNNConfig(**meta["config"]), arrays={
                 key[len("param:"):]: data[key]

@@ -163,7 +163,8 @@ class Adam:
 
 
 class EnvHandle:
-    """One rolling environment slot used by the collector."""
+    """One rolling environment slot used by the collector: the episode's
+    state and observation, and the frames it has not emitted yet."""
 
     def __init__(self, factory: InstanceFactory, action_space: ActionSpace,
                  t_max: int, perturbation_strength: int = 3,
@@ -173,9 +174,6 @@ class EnvHandle:
         self.action_space = action_space
         self.t_max = t_max
         self.strength = perturbation_strength
-        self.state = None
-        self.obs: Optional[Observation] = None
-        self.frames: list[tuple[Observation, int, float]] = []
         self.begin_episode()
 
     def begin_episode(self) -> None:
@@ -183,51 +181,35 @@ class EnvHandle:
         self.state, self.obs = env_reset(
             instance, self.action_space, seed=int(self.rng.integers(1 << 31)),
             t_max=self.t_max, perturbation_strength=self.strength)
-        self.frames = []
+        self.frames: list[tuple[Observation, int, float]] = []
 
 
-def _epsilon_greedy(obs: Observation, net: Optional[QNetwork], epsilon: float,
-                    n_actions: int, k_taus: int,
-                    rng: np.random.Generator) -> int:
-    if net is None or rng.random() < epsilon:
-        return int(rng.integers(n_actions))
-    taus = rng.uniform(size=k_taus)
-    with ad.no_grad():
-        _, q = q_values(obs, net, taus)
-    return int(np.argmax(q.data))
+def collect(env: EnvHandle, net: Optional[QNetwork], epsilon: float,
+            steps: int, rng: np.random.Generator, n_step: int = 3,
+            gamma: float = 0.99, k_taus: int = 8) -> list[Transition]:
+    """Step ``env`` epsilon-greedily, assembling n-step transitions.
 
-
-def _flush_tail(frames: list, terminal_obs: Observation, gamma: float,
-                out: list[Transition]) -> None:
-    """Emit the shortened transitions left over when an episode ends."""
-    for k in range(len(frames)):
-        horizon = len(frames) - k
-        g = sum(gamma ** i * frames[k + i][2] for i in range(horizon))
-        out.append(Transition(frames[k][0], frames[k][1], g,
-                              terminal_obs, True, horizon))
-
-
-def collect(envs: Sequence[EnvHandle], net: Optional[QNetwork],
-            epsilon: float, steps: int, rng: np.random.Generator,
-            n_step: int = 3, gamma: float = 0.99,
-            k_taus: int = 8) -> list[Transition]:
-    """Run the envs round-robin, assembling n-step transitions."""
+    A full window of ``n_step`` frames emits its first frame, bootstrapped
+    from the current observation; an episode's end emits every frame left,
+    each with its shortened horizon."""
     out: list[Transition] = []
-    for count in range(steps):
-        env = envs[count % len(envs)]
-        action = _epsilon_greedy(env.obs, net, epsilon,
-                                 env.action_space.n_actions, k_taus, rng)
-        prev_obs = env.obs
+    for _ in range(steps):
+        obs, frames = env.obs, env.frames
+        if net is None or rng.random() < epsilon:
+            action = int(rng.integers(env.action_space.n_actions))
+        else:
+            with ad.no_grad():
+                _, q = q_values(obs, net, rng.uniform(size=k_taus))
+            action = int(np.argmax(q.data))
         env.state, reward, done, env.obs = env_step(env.state, action)
-        env.frames.append((prev_obs, action, reward))
+        frames.append((obs, action, reward))
+        while len(frames) == n_step or (done and frames):
+            g = sum(gamma ** i * frames[i][2] for i in range(len(frames)))
+            out.append(Transition(frames[0][0], frames[0][1], g, env.obs,
+                                  done, len(frames)))
+            frames.pop(0)
         if done:
-            _flush_tail(env.frames, env.obs, gamma, out)
             env.begin_episode()
-        elif len(env.frames) == n_step:
-            g = sum(gamma ** i * env.frames[i][2] for i in range(n_step))
-            out.append(Transition(env.frames[0][0], env.frames[0][1], g,
-                                  env.obs, False, n_step))
-            env.frames.pop(0)
     return out
 
 
@@ -388,7 +370,7 @@ def train(config: TrainConfig, instance_factory: InstanceFactory,
         losses: list[float] = []
         for _ in range(config.transitions_per_epoch):
             eps = config.epsilon(global_step)
-            for tr in collect([env], net, eps, 1, rng,
+            for tr in collect(env, net, eps, 1, rng,
                               n_step=config.n_step, gamma=config.gamma,
                               k_taus=config.k_taus):
                 buffer.add(tr)

@@ -9,18 +9,25 @@ a time, a second implementation next to the package's Python-int walkers,
 which work on end and out times. The dispatch
 reference is the earlier countdown event loop, kept as it was, with its
 ``Generator.choice`` draw among the three best. The solution check is the
-earlier conversion through an (M, J, 2) array of OpIds. Slow and simple on
+earlier conversion through an (M, J, 2) array of OpIds. The collector
+reference is the earlier round-robin collector over a list of envs, with
+its separate episode-tail flush, kept as it was. Slow and simple on
 purpose.
 """
 from __future__ import annotations
 
 import bisect
 from itertools import permutations, product
+from typing import Optional, Sequence
 
 import numpy as np
 
 from jobshopls.core import Instance, MalformedSolutionError, OpId, Solution
 from jobshopls.dispatch import DispatchRule
+from jobshopls.env import Observation, step as env_step
+from jobshopls.nn import QNetwork, q_values
+from jobshopls.nn import autodiff as ad
+from jobshopls.training import EnvHandle, Transition
 
 
 def simulate_starts(instance: Instance, solution: Solution):
@@ -493,6 +500,51 @@ def reference_td_loss(batch, weights, net, target_net, k_taus=8, kp_taus=8,
         priorities[b] = np.abs(delta.data).mean()
     loss = ad.mul(total, ad.constant(1.0 / len(batch)))
     return loss, priorities
+
+
+def _epsilon_greedy(obs: Observation, net: Optional[QNetwork], epsilon: float,
+                    n_actions: int, k_taus: int,
+                    rng: np.random.Generator) -> int:
+    if net is None or rng.random() < epsilon:
+        return int(rng.integers(n_actions))
+    taus = rng.uniform(size=k_taus)
+    with ad.no_grad():
+        _, q = q_values(obs, net, taus)
+    return int(np.argmax(q.data))
+
+
+def _flush_tail(frames: list, terminal_obs: Observation, gamma: float,
+                out: list[Transition]) -> None:
+    """Emit the shortened transitions left over when an episode ends."""
+    for k in range(len(frames)):
+        horizon = len(frames) - k
+        g = sum(gamma ** i * frames[k + i][2] for i in range(horizon))
+        out.append(Transition(frames[k][0], frames[k][1], g,
+                              terminal_obs, True, horizon))
+
+
+def reference_collect(envs: Sequence[EnvHandle], net: Optional[QNetwork],
+                      epsilon: float, steps: int, rng: np.random.Generator,
+                      n_step: int = 3, gamma: float = 0.99,
+                      k_taus: int = 8) -> list[Transition]:
+    """Run the envs round-robin, assembling n-step transitions."""
+    out: list[Transition] = []
+    for count in range(steps):
+        env = envs[count % len(envs)]
+        action = _epsilon_greedy(env.obs, net, epsilon,
+                                 env.action_space.n_actions, k_taus, rng)
+        prev_obs = env.obs
+        env.state, reward, done, env.obs = env_step(env.state, action)
+        env.frames.append((prev_obs, action, reward))
+        if done:
+            _flush_tail(env.frames, env.obs, gamma, out)
+            env.begin_episode()
+        elif len(env.frames) == n_step:
+            g = sum(gamma ** i * env.frames[i][2] for i in range(n_step))
+            out.append(Transition(env.frames[0][0], env.frames[0][1], g,
+                                  env.obs, False, n_step))
+            env.frames.pop(0)
+    return out
 
 
 def reference_evaluate(net, instances, action_space, t_max, epsilon=0.0,

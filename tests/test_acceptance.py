@@ -207,7 +207,7 @@ def test_c07_fixed_batch_overfits_ten_fold():
     t0 = time.monotonic()
     inst = generate_instance(3, 2, seed=1)
     env = EnvHandle(lambda rng: inst, ActionSpace.ANP, t_max=3, seed=9)
-    batch = collect([env], None, 1.0, 33, np.random.default_rng(7), n_step=3)[:32]
+    batch = collect(env, None, 1.0, 33, np.random.default_rng(7), n_step=3)[:32]
     assert all(t.done for t in batch)
     net = QNetwork(10, TINY, seed=11)
     target = net.clone()

@@ -47,6 +47,16 @@ def test_solve_out_writes_the_solution_it_reports(tmp_path, capsys, monkeypatch)
     assert build_graph(inst, Solution(seqs)).makespan == cost
 
 
+def test_solve_reports_a_checkpoint_without_its_meta_record(tmp_path, capsys):
+    path = tmp_path / "other.npz"
+    np.savez(path, weights=np.zeros(3))
+    assert main(["solve", "ta01", "--method", "nls_a", "--iters", "2",
+                 "--checkpoint", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: checkpoint {path}: no __meta__ record; " \
+        "not a file written by save_checkpoint\n"
+
+
 def test_gen_round_trips_through_the_parser(tmp_path, capsys):
     assert main(["gen", "4x3", "--seed", "9"]) == 0
     inst = parse_taillard(capsys.readouterr().out)

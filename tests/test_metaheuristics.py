@@ -105,6 +105,8 @@ def test_controller_config_errors_name_the_line(tmp_path):
         ("t0 = 0.1\n", f"{p}: missing required key 'kind'"),
         ("kind = sa_restart\nrestart_noise = 1.5\n",
          f"{p}: restart_noise must be in [0, 1]"),
+        # the cooling always reaches 1% of T0 over the budget
+        ("kind = sa\nalpha_t = 0.9\n", f"{p}:2: unknown key 'alpha_t'"),
     ]
     for text, message in cases:
         p.write_text(text)

@@ -321,6 +321,13 @@ def test_load_checkpoint_rejects_a_parameter_of_the_wrong_shape(tmp_path):
         load_checkpoint(tmp_path / "cut.npz")
 
 
+def test_load_checkpoint_names_a_file_without_its_meta_record(tmp_path):
+    np.savez(tmp_path / "other.npz", weights=np.zeros(3))
+    with pytest.raises(ValueError, match=r"^checkpoint .*other\.npz: no __meta__ "
+                       r"record; not a file written by save_checkpoint$"):
+        load_checkpoint(tmp_path / "other.npz")
+
+
 def test_load_checkpoint_ignores_a_stored_input_width(tmp_path):
     # files written before the widths came from env.N_NODE_FEATURES hold d_in
     import json

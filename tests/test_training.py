@@ -87,12 +87,12 @@ def test_collect_builds_n_step_returns():
     inst = generate_instance(4, 4, seed=101)
     env = EnvHandle(lambda rng: inst, ActionSpace.ANP, t_max=12, seed=5)
     rng = np.random.default_rng(3)
-    batch = collect([env], None, 1.0, 60, rng, n_step=3, gamma=0.9)
+    batch = collect(env, None, 1.0, 60, rng, n_step=3, gamma=0.9)
     assert len(batch) == 60
     # rebuild the per-step rewards of the same episodes and check each G
     env2 = EnvHandle(lambda rng: inst, ActionSpace.ANP, t_max=12, seed=5)
     rng2 = np.random.default_rng(3)
-    batch2 = collect([env2], None, 1.0, 60, rng2, n_step=3, gamma=0.9)
+    batch2 = collect(env2, None, 1.0, 60, rng2, n_step=3, gamma=0.9)
     assert [t.g for t in batch] == [t.g for t in batch2]
     for t in batch:
         assert t.steps >= 1 and t.g >= 0.0
@@ -104,7 +104,7 @@ def test_collect_builds_n_step_returns():
 def test_episode_tails_are_flushed_as_terminal():
     inst = generate_instance(3, 3, seed=103)
     env = EnvHandle(lambda rng: inst, ActionSpace.A, t_max=3, seed=7)
-    batch = collect([env], None, 1.0, 9, np.random.default_rng(4), n_step=3)
+    batch = collect(env, None, 1.0, 9, np.random.default_rng(4), n_step=3)
     # horizon == n_step: every transition ends inside its own episode
     assert all(t.done for t in batch)
     assert [t.steps for t in batch] == [3, 2, 1] * 3
@@ -113,7 +113,7 @@ def test_episode_tails_are_flushed_as_terminal():
 def test_random_actions_are_uniform():
     inst = generate_instance(4, 4, seed=107)
     env = EnvHandle(lambda rng: inst, ActionSpace.ANP, t_max=50, seed=8)
-    batch = collect([env], None, 1.0, 3000, np.random.default_rng(5), n_step=1)
+    batch = collect(env, None, 1.0, 3000, np.random.default_rng(5), n_step=1)
     counts = np.bincount([t.action for t in batch], minlength=10)
     expect = 300.0
     chi2 = float(((counts - expect) ** 2 / expect).sum())
@@ -126,7 +126,7 @@ def test_n_step_return_arithmetic():
     assert g == pytest.approx(6.25)
     inst = generate_instance(4, 4, seed=109)
     env = EnvHandle(lambda rng: inst, ActionSpace.A, t_max=6, seed=11)
-    batch = collect([env], None, 1.0, 6, np.random.default_rng(6),
+    batch = collect(env, None, 1.0, 6, np.random.default_rng(6),
                     n_step=3, gamma=0.5)
     # reconstruct raw rewards from the terminal tail (steps 3,2,1):
     tail = [t for t in batch if t.done][-3:]
@@ -140,7 +140,7 @@ def test_n_step_return_arithmetic():
 def test_loss_on_fixed_batch_decreases_with_steps():
     inst = generate_instance(3, 2, seed=1)
     env = EnvHandle(lambda rng: inst, ActionSpace.ANP, t_max=3, seed=9)
-    batch = collect([env], None, 1.0, 12, np.random.default_rng(7), n_step=3)
+    batch = collect(env, None, 1.0, 12, np.random.default_rng(7), n_step=3)
     net = QNetwork(10, TINY, seed=11)
     target = net.clone()
     opt = Adam(net, lr=5e-3)
@@ -164,7 +164,7 @@ def test_loss_on_fixed_batch_decreases_with_steps():
 def test_importance_weights_shrink_priority_updates():
     inst = generate_instance(3, 2, seed=1)
     env = EnvHandle(lambda rng: inst, ActionSpace.ANP, t_max=3, seed=9)
-    batch = collect([env], None, 1.0, 6, np.random.default_rng(8), n_step=3)
+    batch = collect(env, None, 1.0, 6, np.random.default_rng(8), n_step=3)
     net = QNetwork(10, TINY, seed=12)
     target = net.clone()
     half = np.full(len(batch), 0.5)
@@ -172,6 +172,51 @@ def test_importance_weights_shrink_priority_updates():
     l_half, _ = td_loss(batch, half, net, target, rng=np.random.default_rng(1))
     l_full, _ = td_loss(batch, full, net, target, rng=np.random.default_rng(1))
     assert float(l_half.data) == pytest.approx(0.5 * float(l_full.data))
+
+
+def _bits(tr: Transition) -> tuple:
+    """A transition's action, return, done flag, horizon and the dtype, shape
+    and bytes of every field of both its observations."""
+    def obs_bits(obs):
+        return tuple((v.dtype.str, v.shape, v.tobytes())
+                     if isinstance(v, np.ndarray) else v
+                     for v in vars(obs).values())
+    return (tr.action, float(tr.g).hex(), tr.done, tr.steps,
+            obs_bits(tr.obs), obs_bits(tr.bootstrap_obs))
+
+
+@pytest.mark.parametrize("with_net", [False, True])
+@pytest.mark.parametrize("n_step", [1, 3, 5])
+@pytest.mark.parametrize("space", [ActionSpace.A, ActionSpace.ANP])
+def test_one_env_collect_reproduces_the_round_robin_reference(space, n_step,
+                                                             with_net):
+    from oracles import reference_collect
+
+    def envs():
+        return [EnvHandle(lambda rng, j=j, m=m: generate_instance(
+                    j, m, seed=int(rng.integers(1 << 30))), space, t_max=t_max,
+                    seed=j) for j, m, t_max in ((4, 4, 4), (5, 3, 7))]
+
+    net = QNetwork(space.n_actions, TINY, seed=3) if with_net else None
+    kwargs = dict(n_step=n_step, gamma=0.9, k_taus=4)
+    steps = 40
+    want = reference_collect(envs(), net, 0.5, steps, np.random.default_rng(1),
+                             **kwargs)
+    assert {tr.done for tr in want} == {False, True}
+    if with_net:
+        assert len({tr.action for tr in want}) > 1
+    pair, rng = envs(), np.random.default_rng(1)
+    got = [tr for count in range(steps)
+           for tr in collect(pair[count % 2], net, 0.5, 1, rng, **kwargs)]
+    assert [_bits(tr) for tr in got] == [_bits(tr) for tr in want]
+
+    # one env, several steps per call
+    want = reference_collect(envs()[1:], net, 0.5, steps,
+                             np.random.default_rng(2), **kwargs)
+    env, rng = envs()[1], np.random.default_rng(2)
+    got = [tr for chunk in (1, 7, 13, 19)
+           for tr in collect(env, net, 0.5, chunk, rng, **kwargs)]
+    assert [_bits(tr) for tr in got] == [_bits(tr) for tr in want]
 
 
 def test_evaluate_is_bit_stable_and_seeded():
@@ -187,11 +232,13 @@ def test_evaluate_is_bit_stable_and_seeded():
 
 
 def mixed_batch(t_max, steps):
-    """Transitions from a 6x6 and an 8x4 env run round-robin."""
+    """Transitions from a 6x6 and an 8x4 env stepped in turn."""
     envs = [EnvHandle(lambda rng, j=j, m=m: generate_instance(j, m, seed=j),
                       ActionSpace.ANP, t_max=t_max, seed=j)
             for j, m in ((6, 6), (8, 4))]
-    return collect(envs, None, 1.0, steps, np.random.default_rng(t_max), n_step=3)
+    rng = np.random.default_rng(t_max)
+    return [tr for count in range(steps)
+            for tr in collect(envs[count % 2], None, 1.0, 1, rng, n_step=3)]
 
 
 def loss_and_grads(loss_fn, batch, net, target, seed):
@@ -247,7 +294,7 @@ def c07_batch():
     """The all-done TINY 3x2 batch of acceptance check c07."""
     inst = generate_instance(3, 2, seed=1)
     env = EnvHandle(lambda rng: inst, ActionSpace.ANP, t_max=3, seed=9)
-    return collect([env], None, 1.0, 33, np.random.default_rng(7), n_step=3)[:32]
+    return collect(env, None, 1.0, 33, np.random.default_rng(7), n_step=3)[:32]
 
 
 def desk_buffer_batch():
@@ -256,7 +303,7 @@ def desk_buffer_batch():
     env = EnvHandle(lambda r: generate_instance(6, 6, seed=int(r.integers(1 << 30))),
                     ActionSpace.A, t_max=5, seed=51)
     buffer = ReplayBuffer(capacity=200)
-    for tr in collect([env], None, 1.0, 120, rng, n_step=3):
+    for tr in collect(env, None, 1.0, 120, rng, n_step=3):
         buffer.add(tr)
     batch = buffer.sample(32, rng)[1]
     assert 0 < sum(tr.done for tr in batch) < len(batch)

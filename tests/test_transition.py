@@ -31,16 +31,17 @@ ILS = ControllerConfig(ControllerKind.ILS, strength=3)
 @pytest.fixture
 def scripted(monkeypatch):
     """``scripted(decisions)`` makes ``run``'s controller return these
-    decisions in order; the returned list collects the views it was shown."""
+    decisions in order; the returned list collects the stall count of the
+    state at each decision."""
     def install(decisions) -> list:
-        views, script = [], iter(decisions)
+        stalls, script = [], iter(decisions)
 
-        def decide(self, view):
-            views.append(view)
+        def decide(self, state):
+            stalls.append(state.stall)
             return next(script)
 
         monkeypatch.setattr(metaheuristics.Controller, "decide", decide)
-        return views
+        return stalls
 
     return install
 
@@ -94,9 +95,9 @@ def test_only_run_resets_stall_after_a_perturbation():
 
 def test_run_and_step_keep_their_stall_counts(scripted):
     inst = generate_instance(6, 6, seed=5)
-    views = scripted([REJECT, REJECT, PERTURB, REJECT])
+    stalls = scripted([REJECT, REJECT, PERTURB, REJECT])
     run(ILS, inst, iterations=4, seed=0)
-    assert [v.stall for v in views] == [0, 1, 2, 0]
+    assert stalls == [0, 1, 2, 0]
 
     state, _ = env.reset(inst, ActionSpace.ANP, seed=0, t_max=4)
     for action in (REJECT_CET, REJECT_CET, REJECT_PERTURB):

@@ -58,7 +58,7 @@ def measure(net_config: GNNConfig, size: int) -> dict:
     config = TrainConfig()
     inst = generate_instance(size, size, seed=0)
     env = EnvHandle(lambda rng: inst, config.action_space, config.t_max, seed=0)
-    batch = collect([env], None, 1.0, BATCH + config.n_step - 1,
+    batch = collect(env, None, 1.0, BATCH + config.n_step - 1,
                     np.random.default_rng(0), n_step=config.n_step,
                     gamma=config.gamma, k_taus=config.k_taus)
     if len(batch) != BATCH:
