@@ -25,10 +25,10 @@ total = 0.0
 print("\n t  action            reward  current  best")
 while not state.done:
     action = int(rng.integers(space.n_actions))
-    accept, operator, wants_pert = space.decode(action)
+    accept, operator = space.decode(action)    # operator None: perturb
     state, reward, done, obs = step(state, action)
     total += reward
-    label = "perturb" if wants_pert else operator.value
+    label = "perturb" if operator is None else operator.value
     label = ("accept+" if accept else "reject+") + label
     current = state.pending.graph.makespan if state.pending else state.graph.makespan
     marker = "  <- improved" if reward > 0 else ""

@@ -26,8 +26,7 @@ from .metaheuristics import (ControllerKind, load_controller_config,
                              read_key_values, run)
 from .taillard import best_known, generate_instance, resolve_instance
 
-_POLICY_METHODS = {"nls_a": ActionSpace.A, "nls_an": ActionSpace.AN,
-                   "nls_anp": ActionSpace.ANP}
+_POLICY_METHODS = {f"nls_{space.value}": space for space in ActionSpace}
 
 
 @dataclass(frozen=True)
@@ -173,16 +172,13 @@ def _run_one(args) -> ResultRow:
     kind, parsed = classify_method(method)
     t0 = time.perf_counter()
     if kind == "pdr":
-        solution = dispatch(instance, parsed, seed=seed)
-        graph = build_graph(instance, solution)
+        graph = build_graph(instance, dispatch(instance, parsed, seed=seed))
         cost = graph.makespan
     elif kind == "controller":
         if controller_file:
-            conf = load_controller_config(controller_file)
-            result = run(conf, instance, iterations=iterations, seed=seed)
-        else:
-            result = run(parsed, instance, iterations=iterations, seed=seed)
-        solution, cost = result.best_solution, result.best_cost
+            parsed = load_controller_config(controller_file)
+        result = run(parsed, instance, iterations=iterations, seed=seed)
+        graph, cost = result.best_graph, result.best_cost
     else:
         from .nn import load_checkpoint
         from .training import run_policy
@@ -192,8 +188,9 @@ def _run_one(args) -> ResultRow:
                 f"checkpoint has {net.n_actions} actions but method "
                 f"{method} needs {parsed.n_actions}")
         [state] = run_policy(net, [instance], parsed, t_max=iterations, seed=seed)
-        solution, cost = state.best_solution, state.best_cost
+        graph, cost = state.best_graph, state.best_cost
     seconds = time.perf_counter() - t0
+    solution = graph.solution()
 
     problems = validate(instance, solution)
     if problems:

@@ -12,9 +12,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
+
+
+def parse_choice(cls, text: str, what: str,
+                 key: Callable[[str], str] = lambda key: key):
+    """The member of enum ``cls`` whose value is ``key`` of the stripped,
+    lower-cased ``text``; an unknown one raises ValueError naming ``what``."""
+    try:
+        return cls(key(text.strip().lower()))
+    except ValueError:
+        raise ValueError(f"unknown {what} {text!r}; expected one of "
+                         f"{[member.value for member in cls]}") from None
 
 
 class OpId(NamedTuple):
@@ -40,7 +51,7 @@ def _int64_array(values, name: str) -> np.ndarray:
     fraction, nan or inf) is refused with a message naming ``name``."""
     given = np.asarray(values)
     with np.errstate(invalid="ignore"):   # nan and inf cast to garbage
-        cast = given.astype(np.int64)
+        cast = given.astype(np.int64, order="C")
     changed = cast != given
     if np.any(changed):
         raise ValueError(f"{name} must hold integers, got {given[changed][0].item()!r}")

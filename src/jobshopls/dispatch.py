@@ -23,7 +23,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import Instance, OpId, Solution
+from .core import Instance, OpId, Solution, parse_choice
 
 
 class DispatchRule(enum.Enum):
@@ -39,14 +39,9 @@ class DispatchRule(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "DispatchRule":
-        key = text.strip().lower().replace("-", "/").replace("_over_", "/")
-        for rule in cls:
-            if rule.value == key or rule.name.lower() == key:
-                return rule
-        raise ValueError(
-            f"unknown dispatch rule {text!r}; expected one of "
-            f"{[r.value for r in cls]}"
-        )
+        # the key also maps each member name to its value: fdd_over_mwkr
+        return parse_choice(cls, text, "dispatch rule",
+                            lambda key: key.replace("-", "/").replace("_over_", "/"))
 
 
 def dispatch(instance: Instance, rule: DispatchRule,

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .core import Instance, SearchGraph, Solution, build_graph
+from .core import Instance, SearchGraph, build_graph, parse_choice
 from .dispatch import DispatchRule, dispatch
 from .neighborhood import (
     OPERATOR_ORDER,
@@ -47,41 +47,31 @@ class ActionSpace(enum.Enum):
     AN = "an"
     ANP = "anp"
 
+    def __init__(self, value: str):
+        # the operator of each choice within an accept half; None perturbs
+        self.choices = {"a": (Operator.CET,), "an": OPERATOR_ORDER,
+                        "anp": (*OPERATOR_ORDER, None)}[value]
+
     @classmethod
     def parse(cls, text: str) -> "ActionSpace":
-        key = text.strip().lower()
-        for space in cls:
-            if space.value == key:
-                return space
-        raise ValueError(
-            f"unknown action space {text!r}; expected one of {[s.value for s in cls]}"
-        )
+        return parse_choice(cls, text, "action space")
 
     @property
     def n_actions(self) -> int:
-        return {ActionSpace.A: 2, ActionSpace.AN: 8, ActionSpace.ANP: 10}[self]
+        return 2 * len(self.choices)
 
-    def decode(self, action: int) -> tuple[bool, Optional[Operator], bool]:
-        """Split an index into (accept, operator, wants_perturbation).
+    def decode(self, action: int) -> tuple[bool, Optional[Operator]]:
+        """Split an index into (accept, operator); operator None perturbs.
 
         The accept bit is the major axis: indices 0..k-1 reject, k..2k-1
-        accept. Within a half, A always means CET, AN walks the operator
-        order, ANP appends the perturbation as choice 4.
+        accept, and each half walks ``choices``.
         """
         if not 0 <= action < self.n_actions:
             raise InvalidAction(
                 f"action {action} out of range for space {self.name} "
                 f"({self.n_actions} actions)")
-        half = self.n_actions // 2
-        accept = action >= half
-        choice = action % half
-        if self is ActionSpace.A:
-            return accept, Operator.CET, False
-        if self is ActionSpace.AN:
-            return accept, OPERATOR_ORDER[choice], False
-        if choice == len(OPERATOR_ORDER):
-            return accept, None, True
-        return accept, OPERATOR_ORDER[choice], False
+        accept, choice = divmod(action, len(self.choices))
+        return bool(accept), self.choices[choice]
 
 
 @dataclass
@@ -126,10 +116,6 @@ class EnvState:
     @property
     def done(self) -> bool:
         return self.t >= self.t_max
-
-    @property
-    def best_solution(self) -> Solution:
-        return self.best_graph.solution()
 
 
 def _chain_neighbors(chains: np.ndarray, n: int) -> np.ndarray:
@@ -176,7 +162,7 @@ def observe(state: EnvState) -> Observation:
         node_feats=x,
         nbr_stat=state.nbr_stat,
         nbr_dyna=_chain_neighbors(order, n),
-        groups=inst.machine.reshape(-1).copy(),
+        groups=inst.machine.reshape(-1),    # a read-only view, shared
         n_groups=inst.n_machines,
     )
 
@@ -283,9 +269,9 @@ def step(state: EnvState, action: int
     """
     if state.done:
         raise InvalidAction("episode is over; call reset")
-    accept, operator, wants_pert = state.action_space.decode(action)
+    accept, operator = state.action_space.decode(action)
     jump = None
-    if wants_pert:
+    if operator is None:
         jump = lambda graph: perturb(graph, state.strength, state.rng)
     best_before = state.best_cost
     transition(state, accept, operator, jump)

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .core import Instance, Solution, build_graph
+from .core import Instance, SearchGraph, build_graph, parse_choice
 from .dispatch import DispatchRule, stochastic_dispatch
 from .env import EnvState, start as env_start, transition
 from .neighborhood import OPERATOR_ORDER, Operator, perturb
@@ -36,24 +36,20 @@ class ControllerKind(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "ControllerKind":
-        key = text.strip().lower().replace("-", "_").replace("+", "_")
-        for kind in cls:
-            if kind.value == key:
-                return kind
-        raise ValueError(
-            f"unknown controller {text!r}; expected one of {[k.value for k in cls]}"
-        )
+        return parse_choice(cls, text, "controller",
+                            lambda key: key.replace("-", "_").replace("+", "_"))
 
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    """Per-controller knobs; defaults match the shipped config files."""
+    """Per-controller knobs; the defaults are the tuned values of every kind
+    that reads the field, but VNS's ``strength`` (see ``for_kind``)."""
 
     kind: ControllerKind
     t0: float = 0.05              # initial temperature as fraction of f(s_init)
-    n_stall: int = 5              # non-improvements before perturb (ILS family)
-    restart_after: int = 20       # non-improvements before restart (SA_RESTART)
-    strength: int = 3             # random CT moves per perturbation
+    n_stall: int = 3              # non-improvements before perturb (ILS family)
+    restart_after: int = 10       # non-improvements before restart (SA_RESTART)
+    strength: int = 2             # random CT moves per perturbation
     restart_noise: float = 1.0    # top-3 sampling probability on restart
     operator_order: tuple = OPERATOR_ORDER   # VNS cycle
 
@@ -70,14 +66,9 @@ class ControllerConfig:
 
     @classmethod
     def for_kind(cls, kind: ControllerKind) -> "ControllerConfig":
-        """Tuned defaults, identical to the shipped config files."""
-        if kind is ControllerKind.SA_RESTART:
-            return cls(kind=kind, restart_after=10)
-        if kind in (ControllerKind.ILS, ControllerKind.ILS_SA):
-            return cls(kind=kind, n_stall=3, strength=2)
-        if kind is ControllerKind.VNS:
-            return cls(kind=kind, strength=6)
-        return cls(kind=kind)
+        """The kind's tuned values, which the shipped config files spell out:
+        the field defaults, and a stronger shake for VNS."""
+        return cls(kind, strength=6) if kind is ControllerKind.VNS else cls(kind)
 
 
 class Controller:
@@ -148,7 +139,7 @@ class TraceRow(NamedTuple):
 
 @dataclass
 class RunResult:
-    best_solution: Solution
+    best_graph: SearchGraph
     best_cost: int
     trace: list
 
@@ -186,8 +177,8 @@ def run(config: Union[ControllerConfig, ControllerKind], instance: Instance,
         trace.append(TraceRow(state.t, operator.value, accept,
                               state.graph.makespan, state.best_cost, event))
 
-    return RunResult(best_solution=state.best_solution,
-                     best_cost=state.best_cost, trace=trace)
+    return RunResult(best_graph=state.best_graph, best_cost=state.best_cost,
+                     trace=trace)
 
 
 def read_key_values(path, fields: dict) -> dict:
@@ -223,11 +214,12 @@ _CONTROLLER_FIELDS = {
 
 
 def load_controller_config(path) -> ControllerConfig:
-    """Read a key=value config file into a ControllerConfig."""
+    """Read a key=value config file into a ControllerConfig: the kind's
+    tuned values (``for_kind``), with the keys the file sets replaced."""
     values = read_key_values(path, _CONTROLLER_FIELDS)
     if "kind" not in values:
         raise ValueError(f"{path}: missing required key 'kind'")
     try:
-        return ControllerConfig(**values)
+        return replace(ControllerConfig.for_kind(values["kind"]), **values)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -22,7 +22,8 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .core import CyclicSolutionError, SearchGraph, critical_blocks, move_graph
+from .core import (CyclicSolutionError, SearchGraph, critical_blocks, move_graph,
+                   parse_choice)
 # not called here, but perfbench/tracing.py patches neighborhood.build_graph
 # and fails on a name it cannot find
 from .core import build_graph  # noqa: F401
@@ -46,17 +47,11 @@ class Operator(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "Operator":
-        key = text.strip().lower()
-        for op in cls:
-            if op.value == key:
-                return op
-        raise ValueError(
-            f"unknown operator {text!r}; expected one of {[o.value for o in cls]}"
-        )
+        return parse_choice(cls, text, "operator")
 
 
 # canonical order, also the decode order for action spaces
-OPERATOR_ORDER = (Operator.CT, Operator.CET, Operator.ECET, Operator.CEI)
+OPERATOR_ORDER = tuple(Operator)
 
 
 class Move(NamedTuple):

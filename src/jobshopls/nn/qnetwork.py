@@ -10,6 +10,7 @@ decoded to one return quantile per action. Q-values are the quantile mean.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict, dataclass
 from itertools import accumulate
 from typing import Mapping, Optional, Sequence
@@ -240,20 +241,31 @@ def save_checkpoint(net: QNetwork, path) -> None:
 
 
 def load_checkpoint(path) -> QNetwork:
-    """The net saved at ``path``; a file without the ``__meta__`` record, a
-    missing parameter or one of the wrong shape raises ``ValueError`` naming
-    the file."""
-    with np.load(path) as data:
+    """The net saved at ``path``; a file that is not an ``.npz`` archive, a
+    missing or malformed ``__meta__`` record, a missing parameter or one of
+    the wrong shape raises ``ValueError`` naming the file."""
+    try:
+        data = np.load(path)
+    except (EOFError, ValueError, zipfile.BadZipFile):   # empty, pickled, cut
+        data = None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError(f"checkpoint {path}: not an .npz archive")
+    with data:
         if "__meta__" not in data.files:
             raise ValueError(f"checkpoint {path}: no __meta__ record; "
                              "not a file written by save_checkpoint")
-        meta = json.loads(bytes(data["__meta__"]).decode())
-        if meta["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"checkpoint {path}: unsupported version "
-                             f"{meta['version']}")
         try:
-            return QNetwork(meta["n_actions"], GNNConfig(**meta["config"]), arrays={
+            meta = json.loads(bytes(data["__meta__"]).decode())
+            version, n_actions, config = (
+                meta["version"], meta["n_actions"], meta["config"])
+        except (KeyError, TypeError, ValueError):   # a key short, no object, no JSON
+            raise ValueError(f"checkpoint {path}: the __meta__ record is not a JSON "
+                             "object with version, n_actions and config") from None
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"checkpoint {path}: unsupported version {version}")
+        try:
+            return QNetwork(n_actions, GNNConfig(**config), arrays={
                 key[len("param:"):]: data[key]
                 for key in data.files if key.startswith("param:")})
-        except ValueError as err:
+        except (TypeError, ValueError) as err:
             raise ValueError(f"checkpoint {path}: {err}") from None

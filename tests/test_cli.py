@@ -1,4 +1,5 @@
 """Command-line interface wiring."""
+import io
 import re
 
 import numpy as np
@@ -55,6 +56,38 @@ def test_solve_reports_a_checkpoint_without_its_meta_record(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"error: checkpoint {path}: no __meta__ record; " \
         "not a file written by save_checkpoint\n"
+
+
+NOT_META = "the __meta__ record is not a JSON object with version, n_actions and config"
+
+
+@pytest.mark.parametrize("meta, message", [
+    (b'{"v": 1}', NOT_META), (b"not json", NOT_META), (b"[1, 2]", NOT_META),
+    (b'{"version": 1, "n_actions": 2, "config": {"bogus": 1}}',
+     "GNNConfig.__init__() got an unexpected keyword argument 'bogus'"),
+], ids=["keys", "text", "list", "config"])
+def test_solve_reports_a_malformed_meta_record(tmp_path, capsys, meta, message):
+    path = tmp_path / "badmeta.npz"
+    np.savez(path, __meta__=np.frombuffer(meta, dtype=np.uint8))
+    assert main(["solve", "ta01", "--method", "nls_a", "--iters", "2",
+                 "--checkpoint", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: checkpoint {path}: {message}\n"
+
+
+NPY = io.BytesIO()
+np.save(NPY, np.zeros(3))
+
+
+@pytest.mark.parametrize("content", [b"", b"not a checkpoint\n", b"PK\x03\x04cut",
+                                     NPY.getvalue()],
+                         ids=["empty", "text", "cut-zip", "npy"])
+def test_solve_reports_a_checkpoint_that_is_not_an_npz(tmp_path, capsys, content):
+    path = tmp_path / "notnpz.npz"
+    path.write_bytes(content)
+    assert main(["solve", "ta01", "--method", "nls_a", "--iters", "2",
+                 "--checkpoint", str(path)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: checkpoint {path}: not an .npz archive\n"
 
 
 def test_gen_round_trips_through_the_parser(tmp_path, capsys):

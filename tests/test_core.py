@@ -12,9 +12,35 @@ from jobshopls import (build_graph, core, critical_blocks, critical_path, genera
 from jobshopls.core import (CyclicSolutionError, Instance, MalformedSolutionError,
                             OpId, SearchGraph, Solution, move_graph)
 from jobshopls.dispatch import DispatchRule, dispatch
+from jobshopls.env import ActionSpace
+from jobshopls.metaheuristics import ControllerKind
+from jobshopls.neighborhood import Operator
 
 from oracles import (heads_tails, reference_checked_rows, simulate_heads_tails,
                      simulate_makespan)
+
+
+PARSE_TABLE = [
+    (ActionSpace, "b", "unknown action space 'b'; expected one of "
+     "['a', 'an', 'anp']"),
+    (Operator, "swap", "unknown operator 'swap'; expected one of "
+     "['ct', 'cet', 'ecet', 'cei']"),
+    (ControllerKind, "tabu", "unknown controller 'tabu'; expected one of "
+     "['sa', 'sa_restart', 'ils', 'ils_sa', 'vns']"),
+    (DispatchRule, "nonsense", "unknown dispatch rule 'nonsense'; expected one "
+     "of ['rnd', 'fifo', 'spt', 'mwkr', 'mopnr', 'fdd', 'fdd/mwkr']"),
+]
+
+
+@pytest.mark.parametrize("cls, unknown, message", PARSE_TABLE,
+                         ids=[row[0].__name__ for row in PARSE_TABLE])
+def test_every_enum_parses_through_parse_choice(cls, unknown, message):
+    for member in cls:
+        for text in (member.value, member.name.upper(), f"  {member.value}\t"):
+            assert cls.parse(text) is member, text
+    with pytest.raises(ValueError) as err:
+        cls.parse(unknown)
+    assert str(err.value) == message
 
 
 def critical_ops(g):

@@ -18,23 +18,16 @@ def test_action_space_sizes():
 
 
 def test_decode_accept_major_layout():
-    # accept/reject only: operator pinned to the block-end swap
-    assert ActionSpace.A.decode(0) == (False, Operator.CET, False)
-    assert ActionSpace.A.decode(1) == (True, Operator.CET, False)
-    # accept x operator
-    ops = list(Operator)
-    for a in range(8):
-        accept, op, pert = ActionSpace.AN.decode(a)
-        assert accept == (a >= 4)
-        assert op is ops[a % 4]
-        assert pert is False
-    # accept x (operator | perturb)
-    for a in range(10):
-        accept, op, pert = ActionSpace.ANP.decode(a)
-        assert accept == (a >= 5)
-        assert pert == (a % 5 == 4)
-        if not pert:
-            assert op is ops[a % 5]
+    # the layout written out: the reject half, then the accept half, each
+    # walking the same choices; A pins the block-end swap, and None is ANP's
+    # perturbation
+    ct, cet, ecet, cei = Operator.CT, Operator.CET, Operator.ECET, Operator.CEI
+    layouts = {ActionSpace.A: [cet], ActionSpace.AN: [ct, cet, ecet, cei],
+               ActionSpace.ANP: [ct, cet, ecet, cei, None]}
+    for space, half in layouts.items():
+        decoded = [space.decode(a) for a in range(space.n_actions)]
+        assert decoded == [(False, op) for op in half] + [(True, op) for op in half]
+        assert all(type(accept) is bool for accept, _ in decoded)
     for space, bad in ((ActionSpace.A, 2), (ActionSpace.AN, 8), (ActionSpace.ANP, 10)):
         with pytest.raises(InvalidAction):
             space.decode(bad)
@@ -61,6 +54,9 @@ def test_observation_shapes_and_ranges():
     assert np.count_nonzero(obs.nbr_stat < n) == 2 * inst.n_jobs * (inst.n_machines - 1)
     assert np.count_nonzero(obs.nbr_dyna < n) == 2 * inst.n_machines * (inst.n_jobs - 1)
     assert obs.groups.shape == (n,)
+    # the instance's own read-only machine table, not a copy per observation
+    assert np.shares_memory(obs.groups, inst.machine)
+    assert not obs.groups.flags.writeable
     assert obs.n_groups == inst.n_machines
     assert np.all(obs.node_feats[:, 3] >= 0) and np.all(obs.node_feats[:, 3] <= 1)
     for nbr in (obs.nbr_stat, obs.nbr_dyna):
@@ -99,7 +95,7 @@ def test_best_cost_matches_best_solution():
     rng = np.random.default_rng(2)
     while not state.done:
         state, _, _, _ = step(state, int(rng.integers(10)))
-    assert build_graph(inst, state.best_solution).makespan == state.best_cost
+    assert build_graph(inst, state.best_graph.solution()).makespan == state.best_cost
 
 
 def test_negative_perturbation_strength_is_rejected_at_reset():

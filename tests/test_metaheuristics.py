@@ -16,9 +16,18 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.mark.parametrize("kind", list(ControllerKind))
-def test_bundled_configs_match_defaults(kind):
+def test_bundled_configs_match_defaults(kind, tmp_path):
     loaded = load_controller_config(CONFIG_DIR / f"{kind.value}.cfg")
     assert loaded == ControllerConfig.for_kind(kind)
+    # a key left out takes the kind's tuned value, so a file naming only the
+    # kind runs what the kind runs
+    bare = tmp_path / "bare.cfg"
+    bare.write_text(f"kind = {kind.value}\n")
+    assert load_controller_config(bare) == ControllerConfig.for_kind(kind)
+    inst = builtin_instance("ta01")
+    a = run(load_controller_config(bare), inst, iterations=100, seed=0)
+    b = run(kind, inst, iterations=100, seed=0)
+    assert (a.best_cost, a.trace) == (b.best_cost, b.trace)
 
 
 def test_kind_parse():
@@ -36,8 +45,8 @@ def test_runs_are_seeded_and_never_worse_than_init(kind):
     b = run(kind, inst, iterations=60, seed=3)
     assert a.best_cost == b.best_cost
     assert a.best_cost <= init
-    assert validate(inst, a.best_solution) == []
-    assert a.best_cost == simulate_makespan(inst, a.best_solution)
+    assert validate(inst, a.best_graph.solution()) == []
+    assert a.best_cost == simulate_makespan(inst, a.best_graph.solution())
 
 
 def test_trace_best_is_monotone():
