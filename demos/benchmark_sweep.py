@@ -9,7 +9,7 @@ config = BenchmarkConfig(
     instances=("ta01-ta03", "gen:6x6x3x11"),
     iterations=100,
     seed=0,
-    fmt="table",
+    format="table",
     jobs=2,
 )
 result = run_benchmark(config)

@@ -35,7 +35,7 @@ held_out = [generate_instance(6, 6, seed=900_000 + i) for i in range(32)]
 learned = evaluate(result.net, held_out, config.action_space,
                    t_max=config.t_max, seed=1)
 random_policy = evaluate(None, held_out, config.action_space,
-                         t_max=config.t_max, epsilon=1.0, seed=1)
+                         t_max=config.t_max, seed=1)
 edge = 100 * (random_policy.mean() - learned.mean()) / random_policy.mean()
 print(f"\nheld-out mean makespan: learned {learned.mean():.2f}, "
       f"random {random_policy.mean():.2f} ({edge:+.2f}% for the policy)")

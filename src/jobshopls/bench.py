@@ -39,14 +39,14 @@ class BenchmarkConfig:
     seed: int = 0
     checkpoint: Optional[str] = None
     out: Optional[str] = None
-    fmt: str = "csv"
+    format: str = "csv"
     jobs: int = 1
     controller_file: Optional[str] = None
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.fmt not in ("csv", "table"):
+        if self.format not in ("csv", "table"):
             raise ValueError("format must be csv or table")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -165,31 +165,26 @@ def _load_instance(label: str, spec: str) -> Instance:
     return resolve_instance(spec)
 
 
-def _run_one(args) -> ResultRow:
-    """Worker body: run the method on one instance and validate the result."""
-    label, spec, method, iterations, seed, checkpoint, controller_file = args
+def _run_one(config: BenchmarkConfig, label: str, spec: str, net) -> ResultRow:
+    """Worker body: run the method on one instance and validate the result.
+    ``net`` is a policy method's checkpoint, loaded by ``run_benchmark``."""
     instance = _load_instance(label, spec)
-    kind, parsed = classify_method(method)
+    kind, parsed = classify_method(config.method)
     t0 = time.perf_counter()
     if kind == "pdr":
-        graph = build_graph(instance, dispatch(instance, parsed, seed=seed))
-        cost = graph.makespan
+        graph = build_graph(instance, dispatch(instance, parsed, seed=config.seed))
     elif kind == "controller":
-        if controller_file:
-            parsed = load_controller_config(controller_file)
-        result = run(parsed, instance, iterations=iterations, seed=seed)
-        graph, cost = result.best_graph, result.best_cost
+        if config.controller_file:
+            parsed = load_controller_config(config.controller_file)
+        graph = run(parsed, instance, iterations=config.iterations,
+                    seed=config.seed).best_graph
     else:
-        from .nn import load_checkpoint
         from .training import run_policy
-        net = load_checkpoint(checkpoint)
-        if net.n_actions != parsed.n_actions:
-            raise ValueError(
-                f"checkpoint has {net.n_actions} actions but method "
-                f"{method} needs {parsed.n_actions}")
-        [state] = run_policy(net, [instance], parsed, t_max=iterations, seed=seed)
-        graph, cost = state.best_graph, state.best_cost
+        [state] = run_policy(net, [instance], parsed, t_max=config.iterations,
+                             seed=config.seed)
+        graph = state.best_graph
     seconds = time.perf_counter() - t0
+    cost = graph.makespan
     solution = graph.solution()
 
     problems = validate(instance, solution)
@@ -210,17 +205,24 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkResult:
     if not pairs:
         print("warning: empty instance list", file=sys.stderr)
         return BenchmarkResult()
-    tasks = [(label, spec, config.method, config.iterations, config.seed,
-              config.checkpoint, config.controller_file)
-             for label, spec in pairs]
+    kind, parsed = classify_method(config.method)
+    net = None
+    if kind == "policy":   # loaded and checked once per sweep
+        from .nn import load_checkpoint
+        net = load_checkpoint(config.checkpoint)
+        if net.n_actions != parsed.n_actions:
+            raise ValueError(
+                f"checkpoint has {net.n_actions} actions but method "
+                f"{config.method} needs {parsed.n_actions}")
+    tasks = [(config, label, spec, net) for label, spec in pairs]
     if config.jobs > 1:
         with Pool(config.jobs) as pool:
-            rows = pool.map(_run_one, tasks)
+            rows = pool.starmap(_run_one, tasks)
     else:
-        rows = [_run_one(t) for t in tasks]
+        rows = [_run_one(*task) for task in tasks]
     result = BenchmarkResult(list(rows))
     if config.out:
-        text = result.csv() if config.fmt == "csv" else result.table()
+        text = result.csv() if config.format == "csv" else result.table()
         Path(config.out).write_text(text)
     return result
 
@@ -237,8 +239,6 @@ def load_benchmark_config(path) -> BenchmarkConfig:
     values = read_key_values(path, _CONFIG_FIELDS)
     if "method" not in values or "instances" not in values:
         raise ValueError(f"{path}: method and instances are required")
-    if "format" in values:
-        values["fmt"] = values.pop("format")
     try:
         return BenchmarkConfig(**values)
     except ValueError as exc:

@@ -18,7 +18,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("instance", help="builtin name (ta01) or file path")
     solve.add_argument("--method", default="vns",
                        help="dispatching rule, controller, or nls_a/an/anp")
-    solve.add_argument("--iters", type=int, default=100)
+    solve.add_argument("--iters", dest="iterations", type=int, default=100)
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--checkpoint", help="policy checkpoint (.npz)")
     solve.add_argument("--out", help="write the solution's machine order here")
@@ -29,7 +29,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--method")
     bench.add_argument("--instances", nargs="*",
                        help="names, files, ta01-ta10 ranges, gen:JxMxCOUNTxSEED")
-    bench.add_argument("--iters", type=int)
+    bench.add_argument("--iters", dest="iterations", type=int)
     bench.add_argument("--seed", type=int)
     bench.add_argument("--checkpoint")
     bench.add_argument("--out")
@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="train a policy network")
     train.add_argument("--out", required=True, help="checkpoint/log directory")
     train.add_argument("--seed", type=int, default=0)
-    train.add_argument("--iters", type=int, default=None,
+    train.add_argument("--iters", dest="epochs", type=int, default=None,
                        help="override the number of epochs")
     train.add_argument("--size", default="6x6",
                        help="training instance size JxM")
@@ -58,14 +58,14 @@ def _parse_size(text: str) -> tuple[int, int]:
     try:
         j, m = text.lower().split("x")
         return int(j), int(m)
-    except ValueError as exc:
-        raise SystemExit(f"bad size {text!r}, expected JxM") from exc
+    except ValueError:
+        raise ValueError(f"bad size {text!r}, expected JxM") from None
 
 
 def _cmd_solve(args) -> int:
     from .bench import BenchmarkConfig, run_benchmark
     config = BenchmarkConfig(method=args.method, instances=(args.instance,),
-                             iterations=args.iters, seed=args.seed,
+                             iterations=args.iterations, seed=args.seed,
                              checkpoint=args.checkpoint)
     result = run_benchmark(config)
     row = result.rows[0]
@@ -81,20 +81,17 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-# bench flag (argparse dest) -> the BenchmarkConfig field it sets
-_BENCH_FIELDS = {"method": "method", "instances": "instances",
-                 "iters": "iterations", "seed": "seed",
-                 "checkpoint": "checkpoint", "out": "out", "format": "fmt",
-                 "jobs": "jobs"}
+# each bench flag's argparse dest is the BenchmarkConfig field it sets
+_BENCH_FIELDS = ("method", "instances", "iterations", "seed", "checkpoint",
+                 "out", "format", "jobs")
 
 
 def _cmd_bench(args) -> int:
     from .bench import BenchmarkConfig, load_benchmark_config, run_benchmark
     # an unset flag (or --instances without names) keeps the config file's
     # value, or the field's default in flags-only mode
-    overrides = {field: getattr(args, flag)
-                 for flag, field in _BENCH_FIELDS.items()
-                 if getattr(args, flag) not in (None, [])}
+    overrides = {name: getattr(args, name) for name in _BENCH_FIELDS
+                 if getattr(args, name) not in (None, [])}
     if "instances" in overrides:
         overrides["instances"] = tuple(overrides["instances"])
     if args.config:
@@ -106,7 +103,7 @@ def _cmd_bench(args) -> int:
               file=sys.stderr)
         return 2
     result = run_benchmark(config)
-    print(result.table() if config.fmt == "table" else result.csv(), end="")
+    print(result.table() if config.format == "table" else result.csv(), end="")
     return 0
 
 
@@ -115,8 +112,8 @@ def _cmd_train(args) -> int:
     from .training import TrainConfig, train
     j, m = _parse_size(args.size)
     config = TrainConfig() if args.full_scale else TrainConfig.desk_scale()
-    if args.iters is not None:
-        config = replace(config, epochs=args.iters)
+    if args.epochs is not None:
+        config = replace(config, epochs=args.epochs)
     factory = lambda rng: generate_instance(j, m, seed=int(rng.integers(1 << 30)))
     result = train(config, factory, seed=args.seed, out_dir=args.out)
     print(f"best validation makespan {result.best_validation:.2f}")
@@ -152,7 +149,7 @@ def main(argv=None) -> int:
                 "train": _cmd_train, "gen": _cmd_gen}
     try:
         return handlers[args.command](args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

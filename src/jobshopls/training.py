@@ -215,9 +215,8 @@ def collect(env: EnvHandle, net: Optional[QNetwork], epsilon: float,
 
 def td_loss(batch: Sequence[Transition], weights: np.ndarray, net: QNetwork,
             target_net: QNetwork, k_taus: int = 8, kp_taus: int = 8,
-            gamma: float = 0.99, kappa: float = 1.0,
-            rng: Optional[np.random.Generator] = None
-            ) -> tuple[ad.Tensor, np.ndarray]:
+            gamma: float = 0.99, kappa: float = 1.0, *,
+            rng: np.random.Generator) -> tuple[ad.Tensor, np.ndarray]:
     """Quantile Huber loss over the batch plus per-item priorities.
 
     Bootstrap actions come from the online net (double estimation); their
@@ -229,7 +228,6 @@ def td_loss(batch: Sequence[Transition], weights: np.ndarray, net: QNetwork,
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (len(batch),):
         raise ValueError(f"{len(batch)} items but weights of shape {weights.shape}")
-    rng = rng or np.random.default_rng()
     # every item's draws first, in the order a per-item loop would make them
     draws = [(rng.uniform(size=k_taus), rng.uniform(size=kp_taus),
               None if tr.done else rng.uniform(size=k_taus)) for tr in batch]
@@ -283,15 +281,14 @@ class TrainResult:
 
 
 def run_policy(net: Optional[QNetwork], instances: Sequence[Instance],
-               action_space: ActionSpace, t_max: int, epsilon: float = 0.0,
-               seed: int = 0, k_taus: int = 8,
-               perturbation_strength: int = 3) -> list[EnvState]:
+               action_space: ActionSpace, t_max: int, seed: int = 0,
+               k_taus: int = 8, perturbation_strength: int = 3) -> list[EnvState]:
     """Roll the policy out on every instance; returns the final states.
 
     Instance i resets with seed ``seed + i``. Greedy steps use fixed quantile
     midpoints, so repeat runs are bit-stable, and break ties by the first
-    action. The instances step in lockstep, with one forward per step for all
-    greedy ones; without a net every action is drawn at random."""
+    action. The instances step in lockstep, with one forward per step; a
+    random policy (``net=None``) draws from each instance's own generator."""
     taus = (np.arange(k_taus) + 0.5) / k_taus
     resets = [env_reset(instance, action_space, seed=seed + i, t_max=t_max,
                         perturbation_strength=perturbation_strength)
@@ -299,27 +296,24 @@ def run_policy(net: Optional[QNetwork], instances: Sequence[Instance],
     states, obs = [state for state, _ in resets], [first for _, first in resets]
     rngs = [np.random.default_rng(seed + 7919 * i) for i in range(len(instances))]
     while live := [i for i, state in enumerate(states) if not state.done]:
-        # each live instance draws from its own generator, as when run alone
-        actions = {i: int(rngs[i].integers(action_space.n_actions)) for i in live
-                   if net is None or (epsilon > 0.0 and rngs[i].random() < epsilon)}
-        greedy = [i for i in live if i not in actions]
-        if greedy:
+        if net is None:
+            actions = [int(rngs[i].integers(action_space.n_actions)) for i in live]
+        else:
             with ad.no_grad():
-                _, q = batch_q_values([obs[i] for i in greedy], net,
-                                      [taus] * len(greedy))
-            actions.update(zip(greedy, q.data.argmax(axis=1).tolist()))
-        for i in live:
-            states[i], _, _, obs[i] = env_step(states[i], actions[i])
+                _, q = batch_q_values([obs[i] for i in live], net,
+                                      [taus] * len(live))
+            actions = q.data.argmax(axis=1).tolist()
+        for i, action in zip(live, actions):
+            states[i], _, _, obs[i] = env_step(states[i], action)
     return states
 
 
 def evaluate(net: Optional[QNetwork], instances: Sequence[Instance],
-             action_space: ActionSpace, t_max: int, epsilon: float = 0.0,
-             seed: int = 0, k_taus: int = 8,
-             perturbation_strength: int = 3) -> np.ndarray:
+             action_space: ActionSpace, t_max: int, seed: int = 0,
+             k_taus: int = 8, perturbation_strength: int = 3) -> np.ndarray:
     """Best makespan per instance under the policy (see ``run_policy``)."""
-    states = run_policy(net, instances, action_space, t_max, epsilon, seed,
-                        k_taus, perturbation_strength)
+    states = run_policy(net, instances, action_space, t_max, seed, k_taus,
+                        perturbation_strength)
     return np.array([state.best_cost for state in states], dtype=np.float64)
 
 

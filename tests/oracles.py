@@ -547,8 +547,8 @@ def reference_collect(envs: Sequence[EnvHandle], net: Optional[QNetwork],
     return out
 
 
-def reference_evaluate(net, instances, action_space, t_max, epsilon=0.0,
-                       seed=0, k_taus=8, perturbation_strength=3):
+def reference_evaluate(net, instances, action_space, t_max, seed=0, k_taus=8,
+                       perturbation_strength=3):
     """Best makespan per instance, rolling the instances out one by one."""
     from jobshopls.env import reset, step
     from jobshopls.nn import autodiff as ad
@@ -560,7 +560,7 @@ def reference_evaluate(net, instances, action_space, t_max, epsilon=0.0,
                            perturbation_strength=perturbation_strength)
         rng = np.random.default_rng(seed + 7919 * i)
         while not state.done:
-            if net is None or (epsilon > 0.0 and rng.random() < epsilon):
+            if net is None:
                 action = int(rng.integers(action_space.n_actions))
             else:
                 with ad.no_grad():

@@ -246,7 +246,7 @@ def test_c08_short_training_beats_random_policy(tmp_path):
     learned = evaluate(result.net, held_out, config.action_space,
                        t_max=config.t_max, seed=777)
     random_policy = evaluate(None, held_out, config.action_space,
-                             t_max=config.t_max, epsilon=1.0, seed=777)
+                             t_max=config.t_max, seed=777)
     improvement = (random_policy.mean() - learned.mean()) / random_policy.mean()
     assert learned.mean() < random_policy.mean()
     assert improvement >= 0.01, improvement

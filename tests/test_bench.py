@@ -41,7 +41,7 @@ def test_config_validation_fails_fast():
     with pytest.raises(ValueError):
         BenchmarkConfig(method="spt", instances=("ta01",), iterations=0)
     with pytest.raises(ValueError):
-        BenchmarkConfig(method="spt", instances=("ta01",), fmt="xml")
+        BenchmarkConfig(method="spt", instances=("ta01",), format="xml")
     with pytest.raises(ValueError):
         BenchmarkConfig(method="spt", instances=("ta01",), jobs=0)
 
@@ -108,7 +108,7 @@ def test_config_file_parsing(tmp_path):
     assert cfg.method == "vns"
     assert cfg.instances == ("ta01", "ta02")
     assert cfg.iterations == 25 and cfg.seed == 3
-    assert cfg.fmt == "table" and cfg.jobs == 2
+    assert cfg.format == "table" and cfg.jobs == 2
     q = tmp_path / "bad.cfg"
     q.write_text("instances = ta01\n")
     with pytest.raises(ValueError):
@@ -149,14 +149,24 @@ def test_policy_methods_run_with_checkpoint(tmp_path):
         checkpoint=str(ck)))
     assert len(result.rows) == 2
     assert all(r.cost > 0 for r in result.rows)
+    # workers receive the net the parent loaded
+    parallel = run_benchmark(BenchmarkConfig(
+        method="nls_anp", instances=("gen:3x3x2x1",), iterations=5,
+        checkpoint=str(ck), jobs=2))
+    assert [r.cost for r in parallel.rows] == [r.cost for r in result.rows]
 
 
 @pytest.mark.parametrize("method", ["nls_a", "nls_anp"])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_policy_rows_match_one_by_one_rollout(tmp_path, method, seed):
+def test_policy_rows_match_one_by_one_rollout(tmp_path, monkeypatch, method, seed):
     from oracles import reference_evaluate
+    import jobshopls.nn
     from jobshopls.bench import _load_instance
     from jobshopls.nn import QNetwork, GNNConfig, save_checkpoint
+    loads = []
+    real_load = jobshopls.nn.load_checkpoint
+    monkeypatch.setattr(jobshopls.nn, "load_checkpoint",
+                        lambda path: loads.append(path) or real_load(path))
     space = classify_method(method)[1]
     net = QNetwork(space.n_actions, GNNConfig.desk_scale(), seed=4)
     ck = tmp_path / "net.npz"
@@ -166,6 +176,7 @@ def test_policy_rows_match_one_by_one_rollout(tmp_path, method, seed):
         method=method, instances=specs, iterations=20, seed=seed,
         checkpoint=str(ck)))
     assert len(result.rows) == 3
+    assert loads == [str(ck)]   # once per sweep, not once per instance
     for row, (label, spec) in zip(result.rows, expand_instance_specs(specs)):
         expected = reference_evaluate(net, [_load_instance(label, spec)], space,
                                       20, seed=seed)[0]
@@ -177,7 +188,8 @@ def test_wrong_checkpoint_action_count_is_rejected(tmp_path):
     tiny = GNNConfig(d_emb=8, mlp_hidden=8, iqn_hidden=16, n_tau_features=8)
     ck = tmp_path / "net.npz"
     save_checkpoint(QNetwork(2, tiny, seed=3), ck)  # |A|=2 net
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^checkpoint has 2 actions but "
+                       "method nls_anp needs 10$"):
         run_benchmark(BenchmarkConfig(
             method="nls_anp", instances=("gen:3x3x1x1",), iterations=3,
             checkpoint=str(ck)))

@@ -135,18 +135,45 @@ def test_bench_flags_set_config_fields(tmp_path, capsys, monkeypatch):
     loaded, overridden = seen
     want = bench.BenchmarkConfig(
         method="fdd/mwkr", instances=("ta02", "ta03"), iterations=9, seed=4,
-        checkpoint="b.npz", out="b.csv", fmt="csv", jobs=3,
+        checkpoint="b.npz", out="b.csv", format="csv", jobs=3,
         controller_file="c.cfg")
     assert overridden == want
     # every flag moved its field away from the file's value
     for name in ("method", "instances", "iterations", "seed", "checkpoint",
-                 "out", "fmt", "jobs"):
+                 "out", "format", "jobs"):
         assert getattr(loaded, name) != getattr(want, name), name
 
     # flags-only mode leaves the rest at BenchmarkConfig's defaults
     assert main(["bench", "--method", "spt", "--instances", "ta01"]) == 0
     assert seen[-1] == bench.BenchmarkConfig(method="spt", instances=("ta01",))
     capsys.readouterr()
+
+
+def test_bench_fields_flags_and_file_keys_share_their_names():
+    import dataclasses
+    import jobshopls.bench as bench
+    from jobshopls.cli import _build_parser
+    fields = {f.name for f in dataclasses.fields(bench.BenchmarkConfig)}
+    assert fields == set(bench._CONFIG_FIELDS)
+    [sub] = [a for a in _build_parser()._actions if a.dest == "command"]
+    flags = [a for a in sub.choices["bench"]._actions
+             if a.option_strings and a.dest != "help"]
+    assert flags and {a.dest for a in flags} <= fields
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["solve", "ta01", "--method", "nls_a", "--iters", "2", "--checkpoint",
+      "{dir}"], "{dir}"),
+    (["bench", "{dir}"], "{dir}"),
+    (["gen", "6by6"], "6by6"),
+    (["train", "--out", "{dir}", "--size", "6by6"], "6by6"),
+], ids=["checkpoint-dir", "config-dir", "gen-size", "train-size"])
+def test_input_errors_are_one_error_line(tmp_path, capsys, argv, name):
+    fill = lambda text: text.replace("{dir}", str(tmp_path))
+    assert main([fill(arg) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fill(name) in err
 
 
 def test_bench_without_config_or_method_errors(capsys):
